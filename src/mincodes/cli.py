@@ -13,12 +13,11 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import code, pointset, spectra
+from . import spectra
 from .code import (
     DEFAULT_BUDGET,
     WeightDistribution,
     dimension,
-    functional_count,
     summarize,
     weight_distribution_bruteforce,
 )
@@ -29,6 +28,7 @@ from .pointset import (
     BudgetExceeded,
     DefiningSet,
     ParameterError,
+    check_budget,
     tilde_join,
 )
 
@@ -42,7 +42,13 @@ BUDGET_ENV = "MINCODES_BUDGET"
 
 def default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParameterError(
+            f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
 def build_defining_set(family: int, q: int, k: int, h: int,
@@ -73,7 +79,6 @@ def cmd_weights(args: argparse.Namespace) -> int:
     family, q, k, h = args.family, args.q, args.k, args.h
     report = None
     oracle = None
-    checks: dict = {}
     if args.method in ("formula", "both"):
         if family in (2, 3) and args.method == "formula":
             raise ParameterError(
@@ -88,43 +93,25 @@ def cmd_weights(args: argparse.Namespace) -> int:
         d = build_defining_set(family, q, k, h, tilde=args.tilde,
                                relaxed=args.relaxed)
         oracle = weight_distribution_bruteforce(d, budget=args.budget)
-        checks["n"] = len(d)
-        checks["dim"] = dimension(d)
 
     match: Optional[bool] = None
     if args.method == "both":
         if report is not None:
             match = (report.distribution.entries == oracle.entries
-                     and report.n == checks["n"])
+                     and report.n == len(d))
         else:
             # families 2/3: closed-form length, and the minimum-weight
             # proposition where its hypotheses hold
             base_n = spectra.LENGTHS[family](q, k, h)
             n_expect = 2 * base_n if args.tilde else base_n
-            match = n_expect == checks["n"]
-            if not args.tilde:
-                try:
-                    min_fn = (spectra.family2_min_weight if family == 2
-                              else spectra.family3_min_weight)
-                    w_min, witnesses = min_fn(q, k, h)
-                    wit_weights = {
-                        code.weight(code.codeword(d, f)) for f in witnesses
-                    }
-                    achieved = oracle.min_weight
-                    exact = oracle.counts()[achieved] == \
-                        (q - 1) * len(witnesses)
-                    match = match and w_min == achieved \
-                        and wit_weights == {achieved} and exact
-                    checks["min_weight"] = w_min
-                except ParameterError:
-                    pass  # hypotheses q > 5, p > 2 not met: length only
+            match = n_expect == len(d) and spectra.min_weight_failure(
+                family, q, k, h, args.tilde, d, oracle) is None
 
     payload: dict = {}
     if report is not None:
         payload["formula"] = report.to_json_dict()
     if oracle is not None:
-        payload["enumerate"] = oracle.to_json_dict(
-            checks["n"], checks["dim"])
+        payload["enumerate"] = oracle.to_json_dict(len(d), dimension(d))
     if match is not None:
         payload["match"] = match
         if not match and args.relaxed:
@@ -154,11 +141,7 @@ def cmd_minimal(args: argparse.Namespace) -> int:
     d = build_defining_set(args.family, args.q, args.k, args.h,
                            tilde=args.tilde, relaxed=args.relaxed)
     summary = summarize(d, budget=args.budget)
-    out = summary.to_json_dict()
-    if summary.minimality_method == "ab-only":
-        out["note"] = "direct check over budget; AB verdict is " \
-            "sufficient-only"
-    _emit(json.dumps(out, indent=2) + "\n", args.output)
+    _emit(json.dumps(summary.to_json_dict(), indent=2) + "\n", args.output)
     return EXIT_OK
 
 
@@ -183,20 +166,22 @@ def verify_one(family: int, q: int, k: int, h: int, tilde: bool,
     base_n = spectra.LENGTHS[family](q, k, h)
     n = 2 * base_n if tilde else base_n
     dim = k + 1 if tilde else k
-    cost = functional_count(q, dim) * max(n, 1)
-    if cost > budget:
-        return "SKIP", f"cost {cost} over budget {budget}"
+    try:
+        check_budget(q, dim, n, budget)
+    except BudgetExceeded as exc:
+        return "SKIP", f"cost {exc.required} over budget {budget}"
     cache = _cache if _cache is not None else {}
     dkey = ("D", family, q, k, h, tilde)
-    if dkey not in cache:
-        cache[dkey] = build_defining_set(family, q, k, h, tilde=tilde)
-    d = cache[dkey]
+    d = cache.get(dkey)
+    if d is None:
+        d = cache[dkey] = build_defining_set(family, q, k, h, tilde=tilde)
     if len(d) != n:
         return "FAIL", f"length formula {n} != constructed {len(d)}"
     okey = ("dist", q, d.dim, d.points)
-    if okey not in cache:
-        cache[okey] = weight_distribution_bruteforce(d, budget=budget)
-    oracle = cache[okey]
+    # one lookup: hashing the key hashes every point of D
+    oracle = cache.get(okey)
+    if oracle is None:
+        oracle = cache[okey] = weight_distribution_bruteforce(d, budget=budget)
     if oracle.total != q ** dim:
         return "FAIL", f"oracle total {oracle.total} != q^dim {q ** dim}"
     if family in (1, 4):
@@ -208,25 +193,20 @@ def verify_one(family: int, q: int, k: int, h: int, tilde: bool,
             )
         return "PASS", f"n={n}, distribution matches"
     # families 2/3: the minimum-weight proposition when it applies
-    if not tilde and q > 5 and spectra.char_of(q) > 2:
-        min_fn = (spectra.family2_min_weight if family == 2
-                  else spectra.family3_min_weight)
-        w_min, witnesses = min_fn(q, k, h)
-        if w_min != oracle.min_weight:
-            return "FAIL", (
-                f"min weight formula {w_min} != oracle {oracle.min_weight}"
-            )
-        for f in witnesses:
-            if code.weight(code.codeword(d, f)) != w_min:
-                return "FAIL", f"witness {f} misses minimum weight"
-        if oracle.counts()[w_min] != (q - 1) * len(witnesses):
-            return "FAIL", "non-witness hyperplane reaches the minimum"
-        return "PASS", f"n={n}, min weight {w_min} exact"
+    failure = spectra.min_weight_failure(family, q, k, h, tilde, d, oracle)
+    if failure is not None:
+        return "FAIL", failure
+    if spectra.min_weight_applies(q, h, tilde):
+        return "PASS", f"n={n}, min weight {oracle.min_weight} exact"
     return "PASS", f"n={n}"
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
-    qs = [int(tok) for tok in args.qs.split(",")]
+    try:
+        qs = [int(tok) for tok in args.qs.split(",")]
+    except ValueError:
+        raise ParameterError(
+            f"--qs takes comma-separated integers, got {args.qs!r}") from None
     cache: dict = {}
     lines = []
     any_fail = False
@@ -299,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # inside the try: the --budget default reads MINCODES_BUDGET
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParameterError, FieldError, spectra.combinat.CountError) as exc:
         print(f"error: {exc}", file=sys.stderr)

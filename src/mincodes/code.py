@@ -15,9 +15,14 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .field import GF
-from .pointset import BudgetExceeded, DefiningSet, ParameterError, rank
-
-DEFAULT_BUDGET = 100_000_000
+from .pointset import (
+    DEFAULT_BUDGET,
+    DefiningSet,
+    ParameterError,
+    check_budget,
+    functional_count,
+    rank,
+)
 
 
 def projective_functionals(gf: GF, k: int) -> Iterator[tuple[int, ...]]:
@@ -27,10 +32,6 @@ def projective_functionals(gf: GF, k: int) -> Iterator[tuple[int, ...]]:
     for lead in range(k - 1, -1, -1):
         for tail in itertools.product(range(q), repeat=k - 1 - lead):
             yield (0,) * lead + (1,) + tail
-
-
-def functional_count(q: int, k: int) -> int:
-    return (q ** k - 1) // (q - 1)
 
 
 def codeword(d: DefiningSet, f: Sequence[int]) -> tuple[int, ...]:
@@ -126,17 +127,6 @@ class WeightDistribution:
         return json.dumps(self.to_json_dict(n, dim), indent=2) + "\n"
 
 
-def _check_budget(d: DefiningSet, budget: int) -> int:
-    classes = functional_count(d.field.q, d.dim)
-    cost = classes * max(len(d), 1)
-    if cost > budget:
-        raise BudgetExceeded(
-            f"enumeration needs {cost} field operations, budget is {budget}",
-            required=cost,
-        )
-    return classes
-
-
 def _class_values(d: DefiningSet, chunk: int = 512
                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (functional block, value matrix block) over projective classes.
@@ -166,7 +156,7 @@ def weight_distribution_bruteforce(
     d: DefiningSet, budget: int = DEFAULT_BUDGET
 ) -> WeightDistribution:
     """Exact distribution over all q^k functionals, zero word included."""
-    _check_budget(d, budget)
+    check_budget(d.field.q, d.dim, len(d), budget)
     q = d.field.q
     if len(d) == 0:
         return WeightDistribution.from_counts({0: q ** d.dim})
@@ -212,7 +202,7 @@ def is_minimal_direct(
     a single word and by Hamming weight.  The reported witness is the
     lexicographically smallest violating pair of functionals.
     """
-    _check_budget(d, budget)
+    check_budget(d.field.q, d.dim, len(d), budget)
     gf = d.field
     n = len(d)
     words = max((n + 63) // 64, 1)
@@ -262,8 +252,8 @@ class CodeSummary:
     dim: int
     d: int
     ab_holds: bool
-    minimal: Optional[bool]
-    #: "direct" when the exhaustive check ran, "ab-only" when over budget
+    minimal: bool
+    #: the algorithm behind ``minimal``: always the exhaustive check
     minimality_method: str = "direct"
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
@@ -274,29 +264,22 @@ class CodeSummary:
             "d": self.d,
             "ab_holds": self.ab_holds,
             "minimality_method": self.minimality_method,
+            "minimal_direct": self.minimal,
         }
-        if self.minimal is not None:
-            out["minimal_direct"] = self.minimal
         if self.witness is not None:
             out["witness"] = [list(f) for f in self.witness]
         return out
 
 
 def summarize(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> CodeSummary:
-    """[n, dim, d] plus minimality verdicts (direct when within budget,
-    otherwise the sufficient-only AB verdict)."""
+    """[n, dim, d], the sufficient-only AB verdict and the exhaustive
+    minimality verdict; both passes cost the same, so one budget check
+    covers them."""
     dist = weight_distribution_bruteforce(d, budget=budget)
     ab = ab_check(dist, d.field.q)
     dim = dimension(d)
-    try:
-        res = is_minimal_direct(d, budget=budget)
-        return CodeSummary(
-            n=len(d), dim=dim, d=dist.min_weight, ab_holds=ab,
-            minimal=res.minimal, minimality_method="direct",
-            witness=res.witness,
-        )
-    except BudgetExceeded:
-        return CodeSummary(
-            n=len(d), dim=dim, d=dist.min_weight, ab_holds=ab,
-            minimal=True if ab else None, minimality_method="ab-only",
-        )
+    res = is_minimal_direct(d, budget=budget)
+    return CodeSummary(
+        n=len(d), dim=dim, d=dist.min_weight, ab_holds=ab,
+        minimal=res.minimal, witness=res.witness,
+    )

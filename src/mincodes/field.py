@@ -249,17 +249,21 @@ def make_field(p: int, m: int = 1) -> GF:
     return GF(p, m, modulus)
 
 
+def factor_prime_power(q: int) -> tuple[int, int]:
+    """(p, m) with q = p^m and p prime; FieldError for any other q."""
+    for p in range(2, q + 1):
+        if q % p == 0:  # the smallest divisor above 1 is prime
+            m, rest = 0, q
+            while rest % p == 0:
+                rest //= p
+                m += 1
+            if rest == 1:
+                return p, m
+            break
+    raise FieldError(f"{q} is not a prime power")
+
+
 @functools.lru_cache(maxsize=None)
 def field_of_order(q: int) -> GF:
     """Build GF(q) for a prime power q, factoring q automatically."""
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            m = 0
-            n = q
-            while n > 1:
-                if n % p:
-                    raise FieldError(f"{q} is not a prime power")
-                n //= p
-                m += 1
-            return make_field(p, m)
-    raise FieldError(f"{q} is not a prime power")
+    return make_field(*factor_prime_power(q))

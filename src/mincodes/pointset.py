@@ -17,9 +17,13 @@ from .field import GF, field_of_order
 #: refuse to enumerate ambient spaces larger than this many points
 DEFAULT_POINT_CAP = 10_000_000
 
+#: default bound on the field operations of one pass over the classes
+DEFAULT_BUDGET = 100_000_000
+
 
 class ParameterError(ValueError):
-    """Family parameters outside the allowed range."""
+    """Invalid input: family parameters outside the allowed range,
+    malformed points, or a negative budget."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -28,6 +32,25 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, msg: str, required: int):
         super().__init__(msg)
         self.required = required
+
+
+def functional_count(q: int, k: int) -> int:
+    """Number of hyperplanes through the origin of AG(k,q)."""
+    return (q ** k - 1) // (q - 1)
+
+
+def check_budget(q: int, k: int, n: int, budget: int) -> None:
+    """Raise BudgetExceeded when one pass over the projective classes of
+    AG(k,q) for n points, costing classes * max(n, 1), is over budget,
+    and ParameterError when the budget is negative."""
+    if budget < 0:
+        raise ParameterError(f"budget must be non-negative, got {budget}")
+    cost = functional_count(q, k) * max(n, 1)
+    if cost > budget:
+        raise BudgetExceeded(
+            f"enumeration needs {cost} field operations, budget is {budget}",
+            required=cost,
+        )
 
 
 @dataclass(frozen=True)
@@ -40,13 +63,20 @@ class DefiningSet:
     family: Optional[str] = None
 
     def __post_init__(self):
-        zero = (0,) * self.dim
-        for pt in self.points:
-            if len(pt) != self.dim:
-                raise ParameterError(f"point {pt} has wrong length")
-            if pt == zero:
-                raise ParameterError("defining sets exclude the origin")
-        if len(set(self.points)) != len(self.points):
+        # set operations, not a per-point loop: every family build and
+        # tilde join runs these checks
+        if set(map(len, self.points)) - {self.dim}:
+            bad = next(pt for pt in self.points if len(pt) != self.dim)
+            raise ParameterError(f"point {bad} has wrong length")
+        distinct = set(self.points)
+        if (0,) * self.dim in distinct:
+            raise ParameterError("defining sets exclude the origin")
+        elements = set(range(self.field.q))
+        if not elements.issuperset(itertools.chain.from_iterable(distinct)):
+            bad = min(set(itertools.chain.from_iterable(distinct)) - elements)
+            raise ParameterError(
+                f"coordinate {bad} is not an element of GF({self.field.q})")
+        if len(distinct) != len(self.points):
             raise ParameterError("duplicate points in defining set")
 
     def __len__(self) -> int:
@@ -70,9 +100,7 @@ class DefiningSet:
     def from_text(cls, text: str) -> "DefiningSet":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         q, k, n = (int(tok) for tok in lines[0].split())
-        pts = tuple(
-            tuple(int(tok) for tok in ln.split()) for ln in lines[1 : n + 1]
-        )
+        pts = tuple(tuple(int(tok) for tok in ln.split()) for ln in lines[1:])
         if len(pts) != n:
             raise ParameterError(f"expected {n} points, found {len(pts)}")
         return cls(field=field_of_order(q), dim=k, points=pts)
@@ -94,13 +122,13 @@ def _enumerate(
     h: int,
     prefix_in: Callable[[tuple[int, ...]], bool],
     tag: str,
-    point_cap: int,
 ) -> DefiningSet:
     """All nonzero points whose first h coordinates satisfy a predicate."""
     q = gf.q
-    if q ** k > point_cap:
+    if q ** k > DEFAULT_POINT_CAP:
         raise BudgetExceeded(
-            f"AG({k},{q}) has {q ** k} points, above the cap {point_cap}",
+            f"AG({k},{q}) has {q ** k} points, above the cap "
+            f"{DEFAULT_POINT_CAP}",
             required=q ** k,
         )
     points = []
@@ -115,10 +143,7 @@ def _enumerate(
     return DefiningSet(field=gf, dim=k, points=tuple(points), family=tag)
 
 
-def family1(
-    gf: GF, k: int, h: int, relaxed: bool = False,
-    point_cap: int = DEFAULT_POINT_CAP,
-) -> DefiningSet:
+def family1(gf: GF, k: int, h: int, relaxed: bool = False) -> DefiningSet:
     """Points with (x_1 + ... + x_h) * x_1 * ... * x_h = 0."""
     _check_range("family1", h, k, 4, relaxed)
 
@@ -130,13 +155,10 @@ def family1(
             total = gf.add(total, x)
         return total == 0
 
-    return _enumerate(gf, k, h, cond, f"F1(h={h})", point_cap)
+    return _enumerate(gf, k, h, cond, f"F1(h={h})")
 
 
-def family2(
-    gf: GF, k: int, h: int, relaxed: bool = False,
-    point_cap: int = DEFAULT_POINT_CAP,
-) -> DefiningSet:
+def family2(gf: GF, k: int, h: int, relaxed: bool = False) -> DefiningSet:
     """Points with prod_{i<j<=h} (x_i + x_j) = 0."""
     _check_range("family2", h, k, 3, relaxed)
 
@@ -147,13 +169,10 @@ def family2(
                     return True
         return False
 
-    return _enumerate(gf, k, h, cond, f"F2(h={h})", point_cap)
+    return _enumerate(gf, k, h, cond, f"F2(h={h})")
 
 
-def family3(
-    gf: GF, k: int, h: int, relaxed: bool = False,
-    point_cap: int = DEFAULT_POINT_CAP,
-) -> DefiningSet:
+def family3(gf: GF, k: int, h: int, relaxed: bool = False) -> DefiningSet:
     """Points with prod x_i * prod_{i<j<=h} (x_i + x_j) = 0."""
     _check_range("family3", h, k, 3, relaxed)
 
@@ -166,17 +185,13 @@ def family3(
                     return True
         return False
 
-    return _enumerate(gf, k, h, cond, f"F3(h={h})", point_cap)
+    return _enumerate(gf, k, h, cond, f"F3(h={h})")
 
 
-def family4(
-    gf: GF, k: int, h: int, relaxed: bool = False,
-    point_cap: int = DEFAULT_POINT_CAP,
-) -> DefiningSet:
+def family4(gf: GF, k: int, h: int, relaxed: bool = False) -> DefiningSet:
     """Points with x_1 * ... * x_h = 0."""
     _check_range("family4", h, k, 3, relaxed)
-    return _enumerate(gf, k, h, lambda head: 0 in head, f"F4(h={h})",
-                      point_cap)
+    return _enumerate(gf, k, h, lambda head: 0 in head, f"F4(h={h})")
 
 
 FAMILIES: dict[int, Callable[..., DefiningSet]] = {
@@ -239,7 +254,7 @@ def rank(gf: GF, rows: Iterable[Sequence[int]], stop_at: Optional[int] = None) -
     return r
 
 
-def is_cutting(d: DefiningSet, budget: int = 100_000_000) -> bool:
+def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff D meets every hyperplane through the origin in a set that
     spans that (k-1)-dimensional hyperplane."""
     import numpy as np
@@ -247,13 +262,7 @@ def is_cutting(d: DefiningSet, budget: int = 100_000_000) -> bool:
     from .code import _class_values  # local import: no cycle at load
 
     gf, k = d.field, d.dim
-    classes = (gf.q ** k - 1) // (gf.q - 1)
-    cost = classes * max(len(d), 1)
-    if cost > budget:
-        raise BudgetExceeded(
-            f"cutting check needs {cost} field operations, budget {budget}",
-            required=cost,
-        )
+    check_budget(gf.q, k, len(d), budget)
     if len(d) == 0:
         return k <= 1
     # shuffled scan order: lex order ramps rank slowly (long zero-prefix

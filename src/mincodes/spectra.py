@@ -13,19 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from . import combinat
 from .combinat import exact_div, gamma_cap, multinomial, psi
-from .code import WeightDistribution
-from .pointset import ParameterError
-
-
-def char_of(q: int) -> int:
-    """Prime characteristic of the field of order q."""
-    for p in range(2, q + 1):
-        if q % p == 0:
-            return p
-    raise ParameterError(f"bad field order {q}")
+from .code import WeightDistribution, codeword, weight
+from .field import factor_prime_power
+from .pointset import DefiningSet, ParameterError
 
 
 def _check_params(name: str, q: int, k: int, h: int, h_min: int = 1) -> None:
@@ -77,17 +71,16 @@ class SpectrumReport:
 
 def _aggregate(
     family: int, q: int, k: int, h: int, tilde: bool, n: int, dim: int,
-    terms: list[tuple[int, int, str]], include_zero: bool = True,
+    terms: list[tuple[int, int, str]],
 ) -> SpectrumReport:
-    counts: dict[int, int] = {0: 1} if include_zero else {}
+    counts: dict[int, int] = {0: 1}
     prov: list[tuple[int, str]] = []
     for w, c, label in terms:
         if c == 0:
             continue
         counts[w] = counts.get(w, 0) + c
         prov.append((w, label))
-    dist = WeightDistribution.from_counts(counts,
-                                          includes_zero_word=include_zero)
+    dist = WeightDistribution.from_counts(counts)
     return SpectrumReport(
         family=family, q=q, k=k, h=h, tilde=tilde, n=n, dim=dim,
         distribution=dist, provenance=tuple(sorted(prov)),
@@ -163,8 +156,7 @@ def family1_distribution(q: int, k: int, h: int,
 
 def family2_length(q: int, k: int, h: int) -> int:
     _check_params("family2_length", q, k, h)
-    p = char_of(q)
-    if p == 2:
+    if factor_prime_power(q)[0] == 2:
         if h > q:
             return q ** k - 1
         falling = q
@@ -178,8 +170,7 @@ def family2_length(q: int, k: int, h: int) -> int:
 
 def family3_length(q: int, k: int, h: int) -> int:
     _check_params("family3_length", q, k, h)
-    p = char_of(q)
-    if p == 2:
+    if factor_prime_power(q)[0] == 2:
         if h > q + 1:
             return q ** k - 1
         falling = 1
@@ -194,8 +185,15 @@ def family4_length(q: int, k: int, h: int) -> int:
     return q ** (k - h) * (q ** h - (q - 1) ** h) - 1
 
 
-def _require_large_odd(name: str, q: int) -> None:
-    if q <= 5 or char_of(q) == 2:
+def min_weight_applies(q: int, h: int, tilde: bool) -> bool:
+    """True iff the minimum-weight proposition for families 2 and 3
+    covers these parameters: a base set (no tilde lift), h >= 3, and
+    q > 5 of odd characteristic."""
+    return not tilde and h >= 3 and q > 5 and factor_prime_power(q)[0] != 2
+
+
+def _require_large_odd(name: str, q: int, h: int) -> None:
+    if not min_weight_applies(q, h, False):
         raise ParameterError(
             f"{name} is only established for q > 5 with odd characteristic"
         )
@@ -206,7 +204,7 @@ def family2_min_weight(q: int, k: int, h: int
     """Minimum weight n - q^(k-1) + 1, achieved exactly by the
     hyperplanes x_i + x_j = 0, 1 <= i < j <= h."""
     _check_params("family2_min_weight", q, k, h, h_min=3)
-    _require_large_odd("family2_min_weight", q)
+    _require_large_odd("family2_min_weight", q, h)
     n = family2_length(q, k, h)
     witnesses = []
     for i in range(h):
@@ -222,7 +220,7 @@ def family3_min_weight(q: int, k: int, h: int
     """Minimum weight n - q^(k-1) + 1, achieved exactly by the
     hyperplanes x_i + x_j = 0 and x_i = 0, indices within the first h."""
     _check_params("family3_min_weight", q, k, h, h_min=3)
-    _require_large_odd("family3_min_weight", q)
+    _require_large_odd("family3_min_weight", q, h)
     n = family3_length(q, k, h)
     witnesses = []
     for i in range(h):
@@ -235,6 +233,31 @@ def family3_min_weight(q: int, k: int, h: int
             f[i] = f[j] = 1
             witnesses.append(tuple(f))
     return n - q ** (k - 1) + 1, witnesses
+
+
+def min_weight_failure(family: int, q: int, k: int, h: int, tilde: bool,
+                       d: DefiningSet, oracle: WeightDistribution
+                       ) -> Optional[str]:
+    """Check the family-2/3 minimum-weight proposition against C_D and its
+    enumerated distribution: the formula's w_min is the minimum weight,
+    every witness hyperplane has weight w_min, and no other class does.
+
+    Returns the first failure, or None when every check holds or the
+    proposition does not apply (families 1 and 4, or parameters outside
+    :func:`min_weight_applies`).
+    """
+    if family not in (2, 3) or not min_weight_applies(q, h, tilde):
+        return None
+    min_fn = family2_min_weight if family == 2 else family3_min_weight
+    w_min, witnesses = min_fn(q, k, h)
+    if w_min != oracle.min_weight:
+        return f"min weight formula {w_min} != oracle {oracle.min_weight}"
+    for f in witnesses:
+        if weight(codeword(d, f)) != w_min:
+            return f"witness {f} misses minimum weight"
+    if oracle.counts()[w_min] != (q - 1) * len(witnesses):
+        return "non-witness hyperplane reaches the minimum"
+    return None
 
 
 # -- Family 4 ----------------------------------------------------------------

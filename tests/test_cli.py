@@ -168,3 +168,38 @@ def test_verify_one_family2_witness_check():
     assert status == "PASS" and "min weight 78" in detail
     status, detail = cli.verify_one(3, 7, 3, 3, False, 10 ** 8)
     assert status == "PASS" and "168" in detail
+
+
+@pytest.mark.parametrize("argv, env", [
+    (("verify-all", "--qs", "2,x"), None),
+    (("weights", "--family", "4", "--q", "3", "--k", "3", "--h", "3"), "abc"),
+    (("weights", "--family", "4", "--q", "3", "--k", "3", "--h", "3",
+      "--budget", "-5"), None),
+], ids=["qs-not-integer", "budget-env-not-integer", "negative-budget"])
+def test_bad_input_exits_2_with_one_line(argv, env, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.BUDGET_ENV, env)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family", [2, 3])
+def test_min_weight_mutation_fails_both_callers(family, monkeypatch, capsys):
+    # verify_one and `weights --method both` share one minimum-weight
+    # check: a formula off by one must fail in both
+    name = f"family{family}_min_weight"
+    real = getattr(spectra, name)
+
+    def off_by_one(q, k, h):
+        w_min, witnesses = real(q, k, h)
+        return w_min + 1, witnesses
+
+    monkeypatch.setattr(spectra, name, off_by_one)
+    status, _ = cli.verify_one(family, 7, 3, 3, False, 10 ** 8)
+    assert status == "FAIL"
+    code, out, _ = run(capsys, "weights", "--family", str(family), "--q",
+                       "7", "--k", "3", "--h", "3", "--method", "both")
+    assert code == 1 and json.loads(out)["match"] is False

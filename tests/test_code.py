@@ -121,6 +121,8 @@ def test_budget_exceeded_reports_cost():
     with pytest.raises(BudgetExceeded) as exc:
         weight_distribution_bruteforce(d, budget=100)
     assert exc.value.required == classes * len(d)
+    with pytest.raises(ParameterError):
+        weight_distribution_bruteforce(d, budget=-1)
 
 
 def test_class_values_chunk_invariance():

@@ -6,6 +6,7 @@ from mincodes.field import (
     MAX_ORDER,
     FieldError,
     GF,
+    factor_prime_power,
     field_of_order,
     make_field,
 )
@@ -99,6 +100,16 @@ def test_field_of_order():
     assert field_of_order(8).m == 3
     with pytest.raises(FieldError):
         field_of_order(6)
+
+
+def test_factor_prime_power():
+    assert factor_prime_power(9) == (3, 2)
+    assert factor_prime_power(8) == (2, 3)
+    assert factor_prime_power(7) == (7, 1)
+    assert factor_prime_power(256) == (2, 8)
+    for q in (6, 12, 1, 0, -4):
+        with pytest.raises(FieldError):
+            factor_prime_power(q)
 
 
 def test_construction_is_deterministic():

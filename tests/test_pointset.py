@@ -89,9 +89,11 @@ def test_parameter_ranges():
 
 
 def test_point_cap():
+    # AG(24, 2) is above the fixed cap of 10^7 points: refused before any
+    # point is enumerated
     with pytest.raises(BudgetExceeded) as exc:
-        family4(make_field(2), 10, 3, point_cap=1000)
-    assert exc.value.required == 1024
+        family4(make_field(2), 24, 3)
+    assert exc.value.required == 2 ** 24
 
 
 def test_points_are_lexicographically_ordered():
@@ -152,8 +154,23 @@ def test_is_cutting():
 
 def test_is_cutting_budget():
     d = family4(make_field(3), 3, 3)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         is_cutting(d, budget=10)
+    assert exc.value.required == 13 * len(d)
+    with pytest.raises(ParameterError):
+        is_cutting(d, budget=-1)
+
+
+def test_coordinates_outside_the_field_rejected():
+    gf5 = make_field(5)
+    # 7 is not an element of GF(5), even though 7 = 2 mod 5
+    with pytest.raises(ParameterError):
+        DefiningSet(field=gf5, dim=2, points=((7, 1), (2, 1)))
+    with pytest.raises(ParameterError):
+        DefiningSet(field=gf5, dim=2, points=((-1, 1),))
+    with pytest.raises(ParameterError):
+        DefiningSet(field=make_field(2, 2), dim=2, points=((5, 1),))
+    assert len(DefiningSet(field=gf5, dim=2, points=((4, 1), (2, 1)))) == 2
 
 
 def test_text_round_trip():
@@ -164,3 +181,10 @@ def test_text_round_trip():
     assert back.field == d.field
     assert back.to_text() == text
     assert text.splitlines()[0] == f"4 4 {len(d)}"
+
+
+def test_from_text_rejects_a_point_count_mismatch():
+    with pytest.raises(ParameterError):
+        DefiningSet.from_text("3 2 2\n0 1\n")
+    with pytest.raises(ParameterError):
+        DefiningSet.from_text("3 2 1\n0 1\n1 0\n")

@@ -8,7 +8,7 @@ from mincodes.code import (
     weight,
     weight_distribution_bruteforce,
 )
-from mincodes.field import make_field
+from mincodes.field import FieldError, factor_prime_power, make_field
 from mincodes.pointset import (
     ParameterError,
     family1,
@@ -18,7 +18,6 @@ from mincodes.pointset import (
     tilde_join,
 )
 from mincodes.spectra import (
-    char_of,
     closed_form_report,
     family1_distribution,
     family1_length,
@@ -36,10 +35,10 @@ from mincodes.spectra import (
 )
 
 
-def test_char_of():
-    assert char_of(9) == 3
-    assert char_of(8) == 2
-    assert char_of(7) == 7
+def test_lengths_reject_orders_that_are_not_prime_powers():
+    for length in (family2_length, family3_length):
+        with pytest.raises(FieldError):
+            length(6, 3, 3)
 
 
 def test_lengths_match_constructions():
@@ -218,7 +217,7 @@ def test_family23_min_weight():
 
 def test_min_weight_hypotheses_enforced():
     for q in (3, 5, 4, 8, 9):
-        if q > 5 and char_of(q) != 2:
+        if q > 5 and factor_prime_power(q)[0] != 2:
             continue
         with pytest.raises(ParameterError):
             family2_min_weight(q, 3, 3)
