@@ -240,7 +240,7 @@ def _add_common(sub: argparse.ArgumentParser, with_params: bool) -> None:
                          help="lift via the tilde join [D,D]~")
         sub.add_argument("--relaxed", action="store_true",
                          help="allow parameters outside the proved ranges")
-    sub.add_argument("--budget", type=int, default=default_budget(),
+    sub.add_argument("--budget", type=int, default=None,
                      help="max field-operation count for enumeration")
     sub.add_argument("--output", default=None,
                      help="write to this path instead of stdout")
@@ -280,8 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        # inside the try: the --budget default reads MINCODES_BUDGET
         args = build_parser().parse_args(argv)
+        if args.budget is None:  # read after parsing, so --help always works
+            args.budget = default_budget()
         return args.func(args)
     except (ParameterError, FieldError, spectra.combinat.CountError) as exc:
         print(f"error: {exc}", file=sys.stderr)

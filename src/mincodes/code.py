@@ -21,6 +21,7 @@ from .pointset import (
     ParameterError,
     check_budget,
     functional_count,
+    functional_values,
     rank,
 )
 
@@ -135,21 +136,14 @@ def _class_values(d: DefiningSet, chunk: int = 512
     one column per point of D.
     """
     gf, k = d.field, d.dim
-    pts = np.array(d.points, dtype=np.int64)  # (n, k)
+    pts = np.array(d.points, dtype=np.int64).reshape(len(d), k)
     reps = iter(projective_functionals(gf, k))
     while True:
         block = list(itertools.islice(reps, chunk))
         if not block:
             return
         fs = np.array(block, dtype=np.int64)  # (b, k)
-        if gf.m == 1:
-            vals = (fs @ pts.T) % gf.p
-        else:
-            vals = np.zeros((fs.shape[0], pts.shape[0]), dtype=np.int64)
-            for j in range(k):
-                term = gf.mul_table[fs[:, j][:, None], pts[:, j][None, :]]
-                vals = gf.add_table[vals, term]
-        yield fs, vals
+        yield fs, functional_values(gf, fs, pts)
 
 
 def weight_distribution_bruteforce(
@@ -206,13 +200,14 @@ def is_minimal_direct(
     gf = d.field
     n = len(d)
     words = max((n + 63) // 64, 1)
-    funcs: list[tuple[int, ...]] = []
+    func_blocks = []
     sup_blocks = []
     wts_blocks = []
     for fs, vals in _class_values(d):
-        funcs.extend(tuple(int(x) for x in row) for row in fs)
+        func_blocks.append(fs)
         sup_blocks.append(_pack_supports(vals, words))
         wts_blocks.append(np.count_nonzero(vals, axis=1))
+    funcs = np.vstack(func_blocks)
     supports = np.vstack(sup_blocks)
     wts = np.concatenate(wts_blocks)
     c = len(funcs)
@@ -228,8 +223,9 @@ def is_minimal_direct(
         if hits.size:
             full = (supports[hits] & ~outer).max(axis=1) == 0
             for j in hits[full]:
-                if not _scalar_multiples(d, funcs[i], funcs[int(j)]):
-                    return MinimalityResult(False, (funcs[i], funcs[int(j)]))
+                pair = (tuple(map(int, funcs[i])), tuple(map(int, funcs[j])))
+                if not _scalar_multiples(d, *pair):
+                    return MinimalityResult(False, pair)
     return MinimalityResult(True)
 
 

@@ -174,17 +174,16 @@ class GF:
         self._mul = mul
         self._neg = [add[a].index(0) for a in range(q)]
         self._inv = [0] + [mul[a].index(1) for a in range(1, q)]
-        # numpy views for vectorized codeword evaluation
+        # numpy views for vectorized evaluation and row reduction
         self.add_table = np.array(add, dtype=np.int64)
         self.mul_table = np.array(mul, dtype=np.int64)
+        self.neg_table = np.array(self._neg, dtype=np.int64)
+        self.inv_table = np.array(self._inv, dtype=np.int64)
 
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]

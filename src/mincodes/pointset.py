@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .field import GF, field_of_order
 
 #: refuse to enumerate ambient spaces larger than this many points
@@ -98,12 +100,14 @@ class DefiningSet:
 
     @classmethod
     def from_text(cls, text: str) -> "DefiningSet":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        q, k, n = (int(tok) for tok in lines[0].split())
-        pts = tuple(tuple(int(tok) for tok in ln.split()) for ln in lines[1:])
+        try:  # no lines, a header not of 3 tokens, or a non-integer
+            (q, k, n), *pts = (tuple(map(int, ln.split()))
+                               for ln in text.splitlines() if ln.strip())
+        except ValueError as exc:
+            raise ParameterError(f"malformed defining set: {exc}") from None
         if len(pts) != n:
             raise ParameterError(f"expected {n} points, found {len(pts)}")
-        return cls(field=field_of_order(q), dim=k, points=pts)
+        return cls(field=field_of_order(q), dim=k, points=tuple(pts))
 
 
 def _check_range(name: str, h: int, k: int, h_min: int, relaxed: bool) -> None:
@@ -207,7 +211,7 @@ def is_scale_invariant(d: DefiningSet) -> bool:
     punctured lines through the origin."""
     gf = d.field
     pts = set(d.points)
-    for a in gf.nonzero_elements():
+    for a in range(2, gf.q):  # a = 1 maps D to itself
         for pt in d.points:
             if tuple(gf.mul(a, x) for x in pt) not in pts:
                 return False
@@ -232,88 +236,87 @@ def tilde_join(d1: DefiningSet, d2: DefiningSet) -> DefiningSet:
                        family=tag)
 
 
+def functional_values(gf: GF, fs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Values of the linear forms fs (b, k) at the points pts (n, k), as a
+    (b, n) array of element indices."""
+    if gf.m == 1:
+        return (fs @ pts.T) % gf.p
+    # in place: a block can hold 512 x n values
+    add = gf.add_table.ravel()
+    vals = np.zeros((fs.shape[0], pts.shape[0]), dtype=np.int64)
+    for j in range(fs.shape[1]):
+        vals *= gf.q
+        vals += gf.mul_table[fs[:, j, None], pts[None, :, j]]
+        vals = add.take(vals)
+    return vals
+
+
+def ranks(gf: GF, stacks: np.ndarray) -> np.ndarray:
+    """Rank over GF(q) of each matrix in a (C, R, k) stack of element
+    indices, by batched row reduction.
+
+    Step j takes as pivot the first row of each matrix with a nonzero
+    entry in column j, scales it to 1, and subtracts from every row, the
+    pivot row included, the multiple of it that clears column j.  The
+    pivot row becomes zero, so it is never chosen again, and the rank is
+    the number of steps that found a pivot.  Column j is never read
+    again, so only the columns after it are updated.
+    """
+    a = np.array(stacks, dtype=np.int64)
+    c, r, k = a.shape
+    q = gf.q
+    add, mul = gf.add_table.ravel(), gf.mul_table.ravel()
+    found = np.zeros(c, dtype=np.int64)
+    every = np.arange(c)
+    for j in range(k if r else 0):  # argmax needs at least one row
+        nonzero = a[:, :, j] != 0
+        found += nonzero.any(axis=1)
+        piv = nonzero.argmax(axis=1)  # row 0 of a zero column: no change
+        scale = gf.inv_table.take(a[every, piv, j])
+        prow = mul.take(scale[:, None] * q + a[every, piv, j + 1:])
+        coef = gf.neg_table.take(a[:, :, j])
+        a[:, :, j + 1:] = add.take(
+            a[:, :, j + 1:] * q
+            + mul.take(coef[:, :, None] * q + prow[:, None, :]))
+    return found
+
+
 def rank(gf: GF, rows: Iterable[Sequence[int]], stop_at: Optional[int] = None) -> int:
-    """Rank over GF(q) by incremental row reduction; optional early stop."""
-    basis: list[tuple[int, list[int]]] = []  # (pivot position, reduced row)
-    r = 0
-    for row in rows:
-        row = list(row)
-        for pivot, base in basis:
-            c = row[pivot]
-            if c:
-                row = [gf.sub(x, gf.mul(c, b)) for x, b in zip(row, base)]
-        for pivot, x in enumerate(row):
-            if x:
-                inv = gf.inv(x)
-                row = [gf.mul(inv, y) for y in row]
-                basis.append((pivot, row))
-                r += 1
-                break
-        if stop_at is not None and r >= stop_at:
-            return r
-    return r
+    """Rank over GF(q) of a list of rows, capped at stop_at: the
+    one-matrix case of :func:`ranks`."""
+    a = np.array(list(rows), dtype=np.int64)
+    r = int(ranks(gf, a[None])[0]) if a.size else 0
+    return r if stop_at is None else min(r, stop_at)
 
 
 def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff D meets every hyperplane through the origin in a set that
-    spans that (k-1)-dimensional hyperplane."""
-    import numpy as np
+    spans that (k-1)-dimensional hyperplane.
 
+    Blocks of classes are row-reduced together on at most k+8 points of
+    each hyperplane, drawn from a prefix of D in a fixed shuffled order.
+    A class that falls short of rank k-1 there is reduced again on all of
+    its points, one class at a time, so memory stays bounded.
+    """
     from .code import _class_values  # local import: no cycle at load
 
     gf, k = d.field, d.dim
     check_budget(gf.q, k, len(d), budget)
-    if len(d) == 0:
-        return k <= 1
-    # shuffled scan order: lex order ramps rank slowly (long zero-prefix
-    # runs), a random permutation hits a spanning subset within ~k rows,
-    # so the blockwise scan below almost never needs a second block
-    rng = np.random.default_rng(0)
-    perm = rng.permutation(len(d))
-    block = max(4 * k, 64)
-    gf2 = gf.q == 2
-    if gf2:
-        masks = [
-            sum(1 << j for j, x in enumerate(pt) if x) for pt in d.points
-        ]
-
-    def spans_hyperplane(row: "np.ndarray") -> bool:
-        r = 0
-        basis2 = [0] * (k + 1)
-        basis: list[tuple[int, list[int]]] = []
-        for start in range(0, len(perm), block):
-            cols = perm[start : start + block]
-            for i in cols[row[cols] == 0]:
-                if gf2:
-                    m = masks[int(i)]
-                    while m:
-                        b = m.bit_length() - 1
-                        if basis2[b]:
-                            m ^= basis2[b]
-                        else:
-                            basis2[b] = m
-                            r += 1
-                            break
-                else:
-                    vec = list(d.points[int(i)])
-                    for pivot, base in basis:
-                        c = vec[pivot]
-                        if c:
-                            vec = [gf.sub(x, gf.mul(c, b))
-                                   for x, b in zip(vec, base)]
-                    for pivot, x in enumerate(vec):
-                        if x:
-                            inv = gf.inv(x)
-                            basis.append(
-                                (pivot, [gf.mul(inv, y) for y in vec]))
-                            r += 1
-                            break
-                if r >= k - 1:
-                    return True
-        return False
-
-    for _, vals in _class_values(d):
-        for row in vals:
-            if not spans_hyperplane(row):
+    # a shuffled prefix gives each hyperplane about 2(k+8) of its points
+    # (lex order crowds them onto a few), and k+8 random points of a
+    # hyperplane span it with probability about 1 - q^-9
+    order = np.random.default_rng(0).permutation(len(d))
+    pts = np.array(d.points, dtype=np.int64).reshape(len(d), k)[order]
+    rows = k + 8
+    head = DefiningSet(field=gf, dim=k, points=tuple(
+        d.points[i] for i in order[: 2 * gf.q * rows]))
+    for fs, vals in _class_values(head):
+        # each class's first `rows` points in the prefix, zero-padded
+        idx = np.argsort(vals != 0, axis=1, kind="stable")[:, :rows]
+        on = np.take_along_axis(vals == 0, idx, axis=1)
+        short = ranks(gf, pts[idx] * on[..., None]) < k - 1
+        for f in fs[short]:
+            on = functional_values(gf, f[None], pts)[0] == 0
+            if ranks(gf, pts[on][None])[0] < k - 1:
                 return False
     return True

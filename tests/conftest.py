@@ -85,6 +85,38 @@ def brute_weight_distribution(d):
     return counts
 
 
+def brute_rank(gf, rows):
+    """Rank over GF(q) by plain Gaussian elimination on lists, one field
+    operation at a time (no numpy)."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = gf.inv(rows[rank][j])
+        top = [gf.mul(inv, x) for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            c = gf.neg(rows[i][j])
+            rows[i] = [gf.add(x, gf.mul(c, y)) for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def brute_is_cutting(d):
+    """Every hyperplane through the origin, from every nonzero functional,
+    meets D in a set of rank k-1."""
+    gf, k = d.field, d.dim
+    for f in itertools.product(range(gf.q), repeat=k):
+        if not any(f):
+            continue
+        on = [pt for pt in d.points if gf.dot(f, pt) == 0]
+        if brute_rank(gf, on) < k - 1:
+            return False
+    return True
+
+
 @pytest.fixture
 def gf3():
     return field_of_order(3)

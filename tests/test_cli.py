@@ -186,6 +186,14 @@ def test_bad_input_exits_2_with_one_line(argv, env, monkeypatch, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_help_ignores_a_bad_budget_env(monkeypatch, capsys):
+    monkeypatch.setenv(cli.BUDGET_ENV, "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mincodes")
+
+
 @pytest.mark.parametrize("family", [2, 3])
 def test_min_weight_mutation_fails_both_callers(family, monkeypatch, capsys):
     # verify_one and `weights --method both` share one minimum-weight

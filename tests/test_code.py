@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mincodes.code import (
     weight,
     weight_distribution_bruteforce,
 )
-from mincodes.field import make_field
+from mincodes.field import field_of_order, make_field
 from mincodes.pointset import (
     BudgetExceeded,
     DefiningSet,
@@ -26,7 +27,7 @@ from mincodes.pointset import (
     family4,
     tilde_join,
 )
-from conftest import brute_weight_distribution
+from conftest import brute_rank, brute_weight_distribution
 
 
 def full_space(gf, k):
@@ -74,6 +75,27 @@ def test_dimension():
                                 family4(gf3, 3, 3))) == 4
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_dimension_matches_the_oracle(q):
+    gf = field_of_order(q)
+    rng = random.Random(q)
+    for k in range(1, 5):
+        for r in range(k + 1):
+            # distinct nonzero combinations of r random vectors: a set of
+            # rank at most r, below k unless r = k
+            basis = [[rng.randrange(q) for _ in range(k)] for _ in range(r)]
+            pts = set()
+            for _ in range(3 * k):
+                pt = [0] * k
+                for vec in basis:
+                    c = rng.randrange(q)
+                    pt = [gf.add(x, gf.mul(c, y)) for x, y in zip(pt, vec)]
+                if any(pt):
+                    pts.add(tuple(pt))
+            d = DefiningSet(field=gf, dim=k, points=tuple(sorted(pts)))
+            assert dimension(d) == brute_rank(gf, d.points) <= r
+
+
 def test_weight_distribution_examples():
     gf3 = make_field(3)
     d = family4(gf3, 3, 3)
@@ -113,6 +135,9 @@ def test_counts_sum_to_field_size_power():
 def test_empty_defining_set():
     d = DefiningSet(field=make_field(3), dim=2, points=())
     assert weight_distribution_bruteforce(d).counts() == {0: 9}
+    # one codeword, the zero word: nothing to contain or be contained
+    assert is_minimal_direct(d).minimal
+    assert dimension(d) == 0
 
 
 def test_budget_exceeded_reports_cost():

@@ -1,8 +1,11 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
-from mincodes.field import make_field
+from mincodes import pointset
+from mincodes.field import field_of_order, make_field
 from mincodes.pointset import (
     BudgetExceeded,
     DefiningSet,
@@ -15,7 +18,7 @@ from mincodes.pointset import (
     is_scale_invariant,
     tilde_join,
 )
-from conftest import brute_points
+from conftest import brute_is_cutting, brute_points, brute_rank
 
 
 def fam1_pred(gf, pt, h):
@@ -109,6 +112,9 @@ def test_scale_invariance():
     assert not is_scale_invariant(
         DefiningSet(field=gf5, dim=2, points=((1, 0), (2, 0))))
     assert is_scale_invariant(DefiningSet(field=gf5, dim=2, points=()))
+    # over GF(2) the only nonzero scalar is 1, so every set qualifies
+    assert is_scale_invariant(
+        DefiningSet(field=make_field(2), dim=3, points=((1, 0, 0),)))
 
 
 def test_tilde_join_layout_and_sizes():
@@ -152,6 +158,97 @@ def test_is_cutting():
     assert is_cutting(tilde_join(d, d))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_is_cutting_matches_the_oracle_on_random_sets(q):
+    gf = field_of_order(q)
+    rng = random.Random(q)
+    verdicts = set()
+    for k in range(1, 5):
+        space = [pt for pt in itertools.product(range(q), repeat=k)
+                 if any(pt)]
+        for _ in range(4):
+            # sparse sets miss or underspan some hyperplane; dense ones
+            # (small spaces only, to keep the oracle quick) are cutting
+            dense = q ** k <= 125 and rng.random() < 0.5
+            size = (len(space) - rng.randrange(3) if dense
+                    else rng.randint(0, min(len(space), 4 * k)))
+            d = DefiningSet(field=gf, dim=k,
+                            points=tuple(rng.sample(space, size)))
+            verdict = is_cutting(d)
+            assert verdict == brute_is_cutting(d), d
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 9])
+def test_ranks_match_the_oracle(q):
+    # stacks of every shape is_cutting builds, zero rows and k = 1
+    # included, with repeated, scaled and zero rows and a zero column
+    gf = field_of_order(q)
+    rng = np.random.default_rng(q)
+    for k in range(1, 6):
+        for r in (0, 1, 2, 3, 7):
+            stacks = rng.integers(0, q, (12, r, k))
+            if r >= 3:
+                stacks[::2, 1] = stacks[::2, 0]
+                stacks[::3, 2] = gf.mul_table[q - 1, stacks[::3, 0]]
+                stacks[1::4, 0] = 0
+            stacks[::5, :, 0] = 0
+            assert pointset.ranks(gf, stacks).tolist() == [
+                brute_rank(gf, m.tolist()) for m in stacks]
+
+
+def _line_plus_one(q, with_completer):
+    """AG(3,q) points: the plane x_1 = 1 (which spans every hyperplane
+    but x_1 = 0), the q-1 points of the line through (0,0,1), and, when
+    asked, (0,1,0), which completes the span of x_1 = 0.  The completer
+    is placed last in is_cutting's fixed scan order."""
+    pts = [(1, a, b) for a in range(q) for b in range(q)]
+    pts += [(0, 0, t) for t in range(1, q)]
+    if with_completer:
+        scan = np.random.default_rng(0).permutation(len(pts) + 1)
+        pts.insert(int(scan[-1]), (0, 1, 0))
+    return DefiningSet(field=field_of_order(q), dim=3, points=tuple(pts))
+
+
+def test_is_cutting_exact_pass(monkeypatch):
+    # q - 1 = 12 > k + 8 points of x_1 = 0 lie on one line, so the first
+    # k + 8 of them in scan order fall short of rank 2, and only the pass
+    # over all points of that hyperplane finds the completer; the scan's
+    # prefix holds all of D (n < 2q(k+8))
+    single = []
+    real = pointset.ranks
+
+    def spy(gf, stacks):
+        if len(stacks) == 1:
+            single.append(len(stacks[0]))
+        return real(gf, stacks)
+
+    monkeypatch.setattr(pointset, "ranks", spy)
+    d = _line_plus_one(13, with_completer=True)
+    assert len(d) < 2 * 13 * 11
+    assert is_cutting(d)
+    assert single == [13]
+    single.clear()
+    assert not is_cutting(_line_plus_one(13, with_completer=False))
+    assert single == [12]
+
+
+def test_is_cutting_with_an_empty_hyperplane():
+    for q, k in ((2, 2), (3, 3), (4, 2), (5, 3)):
+        gf = field_of_order(q)
+        # the affine hyperplane x_1 = 1 misses the hyperplane x_1 = 0
+        plane = DefiningSet(field=gf, dim=k, points=tuple(
+            (1,) + tail for tail in itertools.product(range(q), repeat=k - 1)))
+        assert not is_cutting(plane)
+        assert not brute_is_cutting(plane)
+    gf3 = field_of_order(3)
+    assert not is_cutting(DefiningSet(field=gf3, dim=2, points=()))
+    # in AG(1,q) the one hyperplane is {0}, spanned by the empty set
+    assert is_cutting(DefiningSet(field=gf3, dim=1, points=()))
+    assert is_cutting(DefiningSet(field=gf3, dim=1, points=((2,),)))
+
+
 def test_is_cutting_budget():
     d = family4(make_field(3), 3, 3)
     with pytest.raises(BudgetExceeded) as exc:
@@ -188,3 +285,17 @@ def test_from_text_rejects_a_point_count_mismatch():
         DefiningSet.from_text("3 2 2\n0 1\n")
     with pytest.raises(ParameterError):
         DefiningSet.from_text("3 2 1\n0 1\n1 0\n")
+
+
+@pytest.mark.parametrize("text", [
+    "3 2 1\n0 x\n",
+    "",
+    " \n\n",
+    "3 2\n0 1\n",
+    "3 2 1 0\n0 1\n",
+    "three 2 1\n0 1\n",
+], ids=["non-integer-token", "empty", "blank", "short-header",
+        "long-header", "non-integer-header"])
+def test_from_text_rejects_malformed_text(text):
+    with pytest.raises(ParameterError):
+        DefiningSet.from_text(text)
