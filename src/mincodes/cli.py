@@ -96,16 +96,8 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
     match: Optional[bool] = None
     if args.method == "both":
-        if report is not None:
-            match = (report.distribution.entries == oracle.entries
-                     and report.n == len(d))
-        else:
-            # families 2/3: closed-form length, and the minimum-weight
-            # proposition where its hypotheses hold
-            base_n = spectra.LENGTHS[family](q, k, h)
-            n_expect = 2 * base_n if args.tilde else base_n
-            match = n_expect == len(d) and spectra.min_weight_failure(
-                family, q, k, h, args.tilde, d, oracle) is None
+        match = spectra.oracle_failure(family, q, k, h, args.tilde, d,
+                                       oracle, report) is None
 
     payload: dict = {}
     if report is not None:
@@ -163,8 +155,7 @@ def verify_one(family: int, q: int, k: int, h: int, tilde: bool,
 
     Returns (status, detail) with status PASS, FAIL, or SKIP.
     """
-    base_n = spectra.LENGTHS[family](q, k, h)
-    n = 2 * base_n if tilde else base_n
+    n = spectra.LENGTHS[family](q, k, h) * (2 if tilde else 1)
     dim = k + 1 if tilde else k
     try:
         check_budget(q, dim, n, budget)
@@ -175,27 +166,20 @@ def verify_one(family: int, q: int, k: int, h: int, tilde: bool,
     d = cache.get(dkey)
     if d is None:
         d = cache[dkey] = build_defining_set(family, q, k, h, tilde=tilde)
-    if len(d) != n:
-        return "FAIL", f"length formula {n} != constructed {len(d)}"
     okey = ("dist", q, d.dim, d.points)
     # one lookup: hashing the key hashes every point of D
     oracle = cache.get(okey)
     if oracle is None:
         oracle = cache[okey] = weight_distribution_bruteforce(d, budget=budget)
-    if oracle.total != q ** dim:
-        return "FAIL", f"oracle total {oracle.total} != q^dim {q ** dim}"
-    if family in (1, 4):
-        report = spectra.closed_form_report(family, q, k, h, tilde=tilde)
-        if report.distribution.entries != oracle.entries:
-            return "FAIL", (
-                f"formula {report.distribution.entries} != "
-                f"oracle {oracle.entries}"
-            )
-        return "PASS", f"n={n}, distribution matches"
-    # families 2/3: the minimum-weight proposition when it applies
-    failure = spectra.min_weight_failure(family, q, k, h, tilde, d, oracle)
+    report = (spectra.closed_form_report(family, q, k, h, tilde=tilde)
+              if family in (1, 4) else None)
+    failure = spectra.oracle_failure(family, q, k, h, tilde, d, oracle,
+                                     report)
     if failure is not None:
         return "FAIL", failure
+    if report is not None:
+        return "PASS", f"n={n}, distribution matches"
+    # families 2/3: the minimum-weight proposition when it applies
     if spectra.min_weight_applies(q, h, tilde):
         return "PASS", f"n={n}, min weight {oracle.min_weight} exact"
     return "PASS", f"n={n}"

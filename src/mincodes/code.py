@@ -3,14 +3,14 @@
 The enumeration oracle walks one functional per projective class (scalar
 multiples of a functional permute nothing and rescale every entry, so
 weights and supports are class invariants) and multiplies counts by q-1.
+Minimality is decided from the same class weights.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -19,20 +19,12 @@ from .pointset import (
     DEFAULT_BUDGET,
     DefiningSet,
     ParameterError,
+    _class_values,
     check_budget,
     functional_count,
-    functional_values,
+    projective_functionals,
     rank,
 )
-
-
-def projective_functionals(gf: GF, k: int) -> Iterator[tuple[int, ...]]:
-    """One representative per hyperplane through the origin (first
-    nonzero coefficient normalized to 1), in lexicographic order."""
-    q = gf.q
-    for lead in range(k - 1, -1, -1):
-        for tail in itertools.product(range(q), repeat=k - 1 - lead):
-            yield (0,) * lead + (1,) + tail
 
 
 def codeword(d: DefiningSet, f: Sequence[int]) -> tuple[int, ...]:
@@ -128,22 +120,16 @@ class WeightDistribution:
         return json.dumps(self.to_json_dict(n, dim), indent=2) + "\n"
 
 
-def _class_values(d: DefiningSet, chunk: int = 512
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (functional block, value matrix block) over projective classes.
-
-    Each value matrix block has one row per functional in the block and
-    one column per point of D.
-    """
-    gf, k = d.field, d.dim
-    pts = np.array(d.points, dtype=np.int64).reshape(len(d), k)
-    reps = iter(projective_functionals(gf, k))
-    while True:
-        block = list(itertools.islice(reps, chunk))
-        if not block:
-            return
-        fs = np.array(block, dtype=np.int64)  # (b, k)
-        yield fs, functional_values(gf, fs, pts)
+def class_weights(d: DefiningSet) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized functionals (c, k) of the projective classes, in
+    lexicographic order, and the codeword weight (c,) of each."""
+    pts = np.array(d.points, dtype=np.int64).reshape(len(d), d.dim)
+    funcs, weights = [], []
+    for fs, vals in _class_values(d.field, pts):
+        funcs.append(fs)
+        weights.append(np.count_nonzero(vals, axis=1))
+        del vals  # freed before the next block is computed
+    return np.vstack(funcs), np.concatenate(weights)
 
 
 def weight_distribution_bruteforce(
@@ -151,30 +137,15 @@ def weight_distribution_bruteforce(
 ) -> WeightDistribution:
     """Exact distribution over all q^k functionals, zero word included."""
     check_budget(d.field.q, d.dim, len(d), budget)
-    q = d.field.q
-    if len(d) == 0:
-        return WeightDistribution.from_counts({0: q ** d.dim})
-    counts: dict[int, int] = {0: 1}
-    for _, vals in _class_values(d):
-        wts = np.count_nonzero(vals, axis=1)
-        for w, c in zip(*np.unique(wts, return_counts=True)):
-            w = int(w)
-            counts[w] = counts.get(w, 0) + int(c) * (q - 1)
+    ws, cs = np.unique(class_weights(d)[1], return_counts=True)
+    counts = dict(zip(ws.tolist(), (cs * (d.field.q - 1)).tolist()))
+    counts[0] = counts.get(0, 0) + 1  # the zero word
     return WeightDistribution.from_counts(counts)
 
 
 def ab_check(dist: WeightDistribution, q: int) -> bool:
     """Sufficient minimality criterion: q * w_min > (q-1) * w_max."""
     return q * dist.min_weight > (q - 1) * dist.max_weight
-
-
-def _pack_supports(vals: np.ndarray, words: int) -> np.ndarray:
-    """Bit-pack the nonzero mask of a value block into uint64 rows."""
-    mask = (vals != 0)
-    packed8 = np.packbits(mask, axis=1)
-    padded = np.zeros((mask.shape[0], words * 8), dtype=np.uint8)
-    padded[:, : packed8.shape[1]] = packed8
-    return padded.view(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -187,59 +158,77 @@ class MinimalityResult:
         return self.minimal
 
 
+#: cells (lines times points) of one step of the line scan, one b at least
+_SCAN_CELLS = 1 << 18
+
+
+def _translates(gf: GF, vs: np.ndarray, m: int) -> np.ndarray:
+    """s * q^m + (base-q value of u + s*v) at [v, s, u], for v in GF(q)^m
+    of base-q values vs, s in GF(q), and u in GF(q)^m in base-q order."""
+    q = gf.q
+    out = np.tile(np.arange(q)[:, None], (len(vs), 1, 1))
+    for i in range(m - 1, -1, -1):  # most significant digit first
+        # digit of u + s*v, at [v, s, digit of u]
+        digit = gf.add_table[np.arange(q),
+                             gf.mul_table[:, vs // q ** i % q].T[:, :, None]]
+        out = (out[..., None] * q + digit[:, :, None, :]).reshape(
+            len(vs), q, -1)
+    return out
+
+
 def is_minimal_direct(
     d: DefiningSet, budget: int = DEFAULT_BUDGET
 ) -> MinimalityResult:
-    """Exhaustive support-containment check over projective classes.
+    """Exhaustive minimality check from the class weights alone.
 
-    Supports are bitsets; containment is a bitwise test, prefiltered by
-    a single word and by Hamming weight.  The reported witness is the
-    lexicographically smallest violating pair of functionals.
+    A point of D is a zero of one of the q+1 classes on a projective
+    line, or of all, so the weights on a line sum to q times the size of
+    the union of its supports: the heaviest class holds every other
+    support on the line exactly when the sum is q times its weight.  A
+    line with a zero class (dim C_D < k) holds multiples of one codeword
+    and is skipped.  Lines are visited once, by echelon basis (b leads
+    at p, a before p with a_p = 0; the points are b and a + s*b), in
+    increasing order of b, their smallest class.  The witness
+    (containing, contained) is the lexicographically smallest violating
+    pair, a line's smallest heaviest class and its smallest other class,
+    so the scan stops once b passes the best containing class.
     """
     check_budget(d.field.q, d.dim, len(d), budget)
-    gf = d.field
-    n = len(d)
-    words = max((n + 63) // 64, 1)
-    func_blocks = []
-    sup_blocks = []
-    wts_blocks = []
-    for fs, vals in _class_values(d):
-        func_blocks.append(fs)
-        sup_blocks.append(_pack_supports(vals, words))
-        wts_blocks.append(np.count_nonzero(vals, axis=1))
-    funcs = np.vstack(func_blocks)
-    supports = np.vstack(sup_blocks)
-    wts = np.concatenate(wts_blocks)
-    c = len(funcs)
-    idx = np.arange(c)
-    for i in range(c):
-        if wts[i] == 0:
-            continue
-        outer = supports[i]
-        # contained candidates: nonzero, lighter or equal, pass word-0 filter
-        cand = (wts <= wts[i]) & (wts > 0) & (idx != i)
-        cand &= (supports[:, 0] & ~outer[0]) == 0
-        hits = np.where(cand)[0]
-        if hits.size:
-            full = (supports[hits] & ~outer).max(axis=1) == 0
-            for j in hits[full]:
-                pair = (tuple(map(int, funcs[i])), tuple(map(int, funcs[j])))
-                if not _scalar_multiples(d, *pair):
-                    return MinimalityResult(False, pair)
-    return MinimalityResult(True)
-
-
-def _scalar_multiples(d: DefiningSet, f1: Sequence[int],
-                      f2: Sequence[int]) -> bool:
-    """True iff the codewords of f1 and f2 are scalar multiples (can only
-    happen across distinct projective classes when dim(C_D) < k)."""
-    gf = d.field
-    c1 = codeword(d, f1)
-    c2 = codeword(d, f2)
-    for a in gf.nonzero_elements():
-        if all(gf.mul(a, x) == y for x, y in zip(c1, c2)):
-            return True
-    return False
+    gf, k, q = d.field, d.dim, d.field.q
+    funcs, wts = class_weights(d)
+    c = len(wts)
+    # weight -1: a line with a zero class never sums to q times its max
+    wts = np.where(wts > 0, wts, -1)
+    # class index of the first vector of each lead (later leads come first)
+    first = [(q ** (k - 1 - lead) - 1) // (q - 1) for lead in range(k)]
+    best = c * c  # heaviest * c + other, over the violating lines
+    for p in range(k - 1, 0, -1):
+        m = k - 1 - p
+        # the class of each a that is zero after p
+        heads = np.concatenate([first[lead] + q ** (m + 1) * np.arange(
+            q ** (p - 1 - lead)) for lead in range(p)])
+        nv = max(1, _SCAN_CELLS // (len(heads) * q ** (m + 1)))
+        for v0 in range(0, q ** m, nv):
+            if first[p] + v0 > best // c:
+                break
+            vs = np.arange(v0, min(v0 + nv, q ** m))  # b after p
+            b = first[p] + vs
+            # class of a + s*b at [a's head, b, s, a after p]
+            idx = heads[:, None, None, None] + _translates(gf, vs, m)
+            w = wts.take(idx)
+            top = np.maximum(w.max(axis=2), wts[b][:, None])
+            hits = np.nonzero(w.sum(axis=2) + wts[b][:, None] == q * top)
+            if hits[0].size:
+                line = np.concatenate([idx[hits[0], hits[1], :, hits[2]],
+                                       b[hits[1], None]], axis=1)
+                heavy = np.where(wts[line] == top[hits][:, None], line,
+                                 c).min(axis=1)
+                other = np.where(line != heavy[:, None], line, c).min(axis=1)
+                best = min(best, int((heavy * c + other).min()))
+    if best == c * c:
+        return MinimalityResult(True)
+    return MinimalityResult(False, tuple(tuple(map(int, funcs[i]))
+                                         for i in divmod(best, c)))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -236,6 +236,28 @@ def tilde_join(d1: DefiningSet, d2: DefiningSet) -> DefiningSet:
                        family=tag)
 
 
+def projective_functionals(gf: GF, k: int) -> Iterator[tuple[int, ...]]:
+    """One representative per hyperplane through the origin (first
+    nonzero coefficient normalized to 1), in lexicographic order."""
+    q = gf.q
+    for lead in range(k - 1, -1, -1):
+        for tail in itertools.product(range(q), repeat=k - 1 - lead):
+            yield (0,) * lead + (1,) + tail
+
+
+def _class_values(gf: GF, pts: np.ndarray, chunk: int = 512
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (functional block (b, k), values (b, n) of the block at the
+    points pts (n, k)) over the projective classes of AG(k,q)."""
+    reps = iter(projective_functionals(gf, pts.shape[1]))
+    while True:
+        block = list(itertools.islice(reps, chunk))
+        if not block:
+            return
+        fs = np.array(block, dtype=np.int64)  # (b, k)
+        yield fs, functional_values(gf, fs, pts)
+
+
 def functional_values(gf: GF, fs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Values of the linear forms fs (b, k) at the points pts (n, k), as a
     (b, n) array of element indices."""
@@ -295,11 +317,10 @@ def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
 
     Blocks of classes are row-reduced together on at most k+8 points of
     each hyperplane, drawn from a prefix of D in a fixed shuffled order.
-    A class that falls short of rank k-1 there is reduced again on all of
-    its points, one class at a time, so memory stays bounded.
+    A class that falls short of rank k-1 there is reduced again on the
+    first 4(k+8) of its points, and then, if those fall short too, on all
+    of them, one class at a time, so memory stays bounded.
     """
-    from .code import _class_values  # local import: no cycle at load
-
     gf, k = d.field, d.dim
     check_budget(gf.q, k, len(d), budget)
     # a shuffled prefix gives each hyperplane about 2(k+8) of its points
@@ -308,15 +329,15 @@ def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
     order = np.random.default_rng(0).permutation(len(d))
     pts = np.array(d.points, dtype=np.int64).reshape(len(d), k)[order]
     rows = k + 8
-    head = DefiningSet(field=gf, dim=k, points=tuple(
-        d.points[i] for i in order[: 2 * gf.q * rows]))
-    for fs, vals in _class_values(head):
+    for fs, vals in _class_values(gf, pts[: 2 * gf.q * rows]):
         # each class's first `rows` points in the prefix, zero-padded
         idx = np.argsort(vals != 0, axis=1, kind="stable")[:, :rows]
         on = np.take_along_axis(vals == 0, idx, axis=1)
         short = ranks(gf, pts[idx] * on[..., None]) < k - 1
         for f in fs[short]:
-            on = functional_values(gf, f[None], pts)[0] == 0
-            if ranks(gf, pts[on][None])[0] < k - 1:
+            plane = pts[functional_values(gf, f[None], pts)[0] == 0]
+            if ranks(gf, plane[None, : 4 * rows])[0] < k - 1 and (
+                    len(plane) <= 4 * rows
+                    or ranks(gf, plane[None])[0] < k - 1):
                 return False
     return True

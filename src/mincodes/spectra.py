@@ -235,31 +235,6 @@ def family3_min_weight(q: int, k: int, h: int
     return n - q ** (k - 1) + 1, witnesses
 
 
-def min_weight_failure(family: int, q: int, k: int, h: int, tilde: bool,
-                       d: DefiningSet, oracle: WeightDistribution
-                       ) -> Optional[str]:
-    """Check the family-2/3 minimum-weight proposition against C_D and its
-    enumerated distribution: the formula's w_min is the minimum weight,
-    every witness hyperplane has weight w_min, and no other class does.
-
-    Returns the first failure, or None when every check holds or the
-    proposition does not apply (families 1 and 4, or parameters outside
-    :func:`min_weight_applies`).
-    """
-    if family not in (2, 3) or not min_weight_applies(q, h, tilde):
-        return None
-    min_fn = family2_min_weight if family == 2 else family3_min_weight
-    w_min, witnesses = min_fn(q, k, h)
-    if w_min != oracle.min_weight:
-        return f"min weight formula {w_min} != oracle {oracle.min_weight}"
-    for f in witnesses:
-        if weight(codeword(d, f)) != w_min:
-            return f"witness {f} misses minimum weight"
-    if oracle.counts()[w_min] != (q - 1) * len(witnesses):
-        return "non-witness hyperplane reaches the minimum"
-    return None
-
-
 # -- Family 4 ----------------------------------------------------------------
 
 def family4_distribution(q: int, k: int, h: int,
@@ -368,3 +343,33 @@ def closed_form_report(family: int, q: int, k: int, h: int,
             f"{' tilde' if tilde else ''}"
         )
     return table[family](q, k, h, relaxed=relaxed)
+
+
+def oracle_failure(family: int, q: int, k: int, h: int, tilde: bool,
+                   d: DefiningSet, oracle: WeightDistribution,
+                   report: Optional[SpectrumReport] = None) -> Optional[str]:
+    """The first failure, or None, of these checks of the formulas against
+    C_D and its enumerated distribution: the length (doubled for a tilde
+    lift), the count q^dim, the closed form when a report is passed, and,
+    where :func:`min_weight_applies`, the family-2/3 w_min, reached by
+    every witness hyperplane and by no other class."""
+    n = LENGTHS[family](q, k, h) * (2 if tilde else 1)
+    if n != len(d):
+        return f"length formula {n} != constructed {len(d)}"
+    if oracle.total != q ** d.dim:
+        return f"oracle total {oracle.total} != q^dim {q ** d.dim}"
+    if report is not None and report.distribution.entries != oracle.entries:
+        return (f"formula {report.distribution.entries} != "
+                f"oracle {oracle.entries}")
+    if family not in (2, 3) or not min_weight_applies(q, h, tilde):
+        return None
+    min_fn = family2_min_weight if family == 2 else family3_min_weight
+    w_min, witnesses = min_fn(q, k, h)
+    if w_min != oracle.min_weight:
+        return f"min weight formula {w_min} != oracle {oracle.min_weight}"
+    for f in witnesses:
+        if weight(codeword(d, f)) != w_min:
+            return f"witness {f} misses minimum weight"
+    if oracle.counts()[w_min] != (q - 1) * len(witnesses):
+        return "non-witness hyperplane reaches the minimum"
+    return None

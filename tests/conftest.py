@@ -117,6 +117,27 @@ def brute_is_cutting(d):
     return True
 
 
+def brute_is_minimal(d):
+    """The first pair (containing, contained) of normalized functionals,
+    in lexicographic order, whose codewords are nonzero and not scalar
+    multiples while the support of the second lies in that of the first;
+    None when C_D is minimal.  Supports are bitmasks over D."""
+    gf, k = d.field, d.dim
+    funcs = [f for f in itertools.product(range(gf.q), repeat=k)
+             if any(f) and next(x for x in f if x) == 1]
+    words = [[gf.dot(f, pt) for pt in d.points] for f in funcs]
+    supports = [sum(1 << i for i, x in enumerate(w) if x) for w in words]
+    for i, outer in enumerate(supports):
+        for j, inner in enumerate(supports):
+            if not inner or i == j or inner & ~outer:
+                continue
+            if not any(all(gf.mul(a, x) == y
+                           for x, y in zip(words[i], words[j]))
+                       for a in gf.nonzero_elements()):
+                return funcs[i], funcs[j]
+    return None
+
+
 @pytest.fixture
 def gf3():
     return field_of_order(3)

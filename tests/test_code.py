@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -6,7 +7,6 @@ import pytest
 
 from mincodes.code import (
     WeightDistribution,
-    _class_values,
     ab_check,
     codeword,
     dimension,
@@ -22,16 +22,16 @@ from mincodes.pointset import (
     BudgetExceeded,
     DefiningSet,
     ParameterError,
+    _class_values,
     family1,
     family2,
     family4,
     tilde_join,
 )
-from conftest import brute_rank, brute_weight_distribution
+from conftest import brute_is_minimal, brute_rank, brute_weight_distribution
 
 
 def full_space(gf, k):
-    import itertools
     pts = [pt for pt in itertools.product(range(gf.q), repeat=k)
            if any(pt)]
     return DefiningSet(field=gf, dim=k, points=tuple(pts))
@@ -152,8 +152,10 @@ def test_budget_exceeded_reports_cost():
 
 def test_class_values_chunk_invariance():
     d = family4(make_field(2, 2), 3, 3)
-    whole = np.vstack([v for _, v in _class_values(d, chunk=10 ** 6)])
-    small = np.vstack([v for _, v in _class_values(d, chunk=3)])
+    pts = np.array(d.points)
+    whole = np.vstack([v for _, v in _class_values(d.field, pts,
+                                                   chunk=10 ** 6)])
+    small = np.vstack([v for _, v in _class_values(d.field, pts, chunk=3)])
     assert np.array_equal(whole, small)
 
 
@@ -179,6 +181,41 @@ def test_minimality():
     d = family4(make_field(3), 2, 2, relaxed=True)
     big, small = (codeword(d, f) for f in res.witness)
     assert all(b != 0 for b, s in zip(big, small) if s != 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_is_minimal_direct_matches_the_oracle_on_random_sets(q):
+    gf = field_of_order(q)
+    rng = random.Random(q)
+    verdicts, low_rank = set(), 0
+    for k in range(1, 5):
+        space = [pt for pt in itertools.product(range(q), repeat=k)
+                 if any(pt)]
+        for trial in range(4):
+            if trial == 0:
+                pts = []
+            elif trial == 1:
+                # inside a hyperplane, so dim C_D < k: codewords of
+                # distinct classes can be scalar multiples
+                f = [rng.randrange(q) for _ in range(k)]
+                f[rng.randrange(k)] = 1
+                plane = [pt for pt in space if gf.dot(f, pt) == 0]
+                pts = rng.sample(plane, rng.randint(0, len(plane)))
+            else:
+                # sparse sets are rarely minimal, near-full ones (small
+                # spaces only, to keep the oracle quick) are
+                dense = trial == 3 and q ** k <= 125
+                size = (max(len(space) - rng.randrange(3), 0) if dense
+                        else rng.randint(1, min(len(space), 4 * k)))
+                pts = rng.sample(space, size)
+            d = DefiningSet(field=gf, dim=k, points=tuple(pts))
+            res = is_minimal_direct(d)
+            witness = brute_is_minimal(d)
+            assert (res.minimal, res.witness) == (witness is None,
+                                                  witness), d
+            verdicts.add(res.minimal)
+            low_rank += dimension(d) < k
+    assert verdicts == {True, False} and low_rank > 0
 
 
 def test_scale_invariant_weights_divisible():

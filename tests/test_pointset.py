@@ -211,11 +211,8 @@ def _line_plus_one(q, with_completer):
     return DefiningSet(field=field_of_order(q), dim=3, points=tuple(pts))
 
 
-def test_is_cutting_exact_pass(monkeypatch):
-    # q - 1 = 12 > k + 8 points of x_1 = 0 lie on one line, so the first
-    # k + 8 of them in scan order fall short of rank 2, and only the pass
-    # over all points of that hyperplane finds the completer; the scan's
-    # prefix holds all of D (n < 2q(k+8))
+def _single_ranks(monkeypatch):
+    """Spy on pointset.ranks: the row count of each one-matrix call."""
     single = []
     real = pointset.ranks
 
@@ -225,6 +222,15 @@ def test_is_cutting_exact_pass(monkeypatch):
         return real(gf, stacks)
 
     monkeypatch.setattr(pointset, "ranks", spy)
+    return single
+
+
+def test_is_cutting_exact_pass(monkeypatch):
+    # q - 1 = 12 > k + 8 points of x_1 = 0 lie on one line, so the first
+    # k + 8 of them in scan order fall short of rank 2, and only the exact
+    # pass over that hyperplane's points, all within its first 4(k+8),
+    # finds the completer; the scan's prefix holds all of D (n < 2q(k+8))
+    single = _single_ranks(monkeypatch)
     d = _line_plus_one(13, with_completer=True)
     assert len(d) < 2 * 13 * 11
     assert is_cutting(d)
@@ -232,6 +238,18 @@ def test_is_cutting_exact_pass(monkeypatch):
     single.clear()
     assert not is_cutting(_line_plus_one(13, with_completer=False))
     assert single == [12]
+
+
+def test_is_cutting_second_exact_stage(monkeypatch):
+    # q - 1 = 46 > 4(k + 8) = 44 points of x_1 = 0 lie on one line, so
+    # the first 44 of them in scan order fall short of rank 2, and the
+    # second stage, over all of that hyperplane's points, decides
+    single = _single_ranks(monkeypatch)
+    assert is_cutting(_line_plus_one(47, with_completer=True))
+    assert single == [44, 47]
+    single.clear()
+    assert not is_cutting(_line_plus_one(47, with_completer=False))
+    assert single == [44, 46]
 
 
 def test_is_cutting_with_an_empty_hyperplane():
