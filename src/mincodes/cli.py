@@ -162,10 +162,7 @@ def verify_one(family: int, q: int, k: int, h: int, tilde: bool,
     except BudgetExceeded as exc:
         return "SKIP", f"cost {exc.required} over budget {budget}"
     cache = _cache if _cache is not None else {}
-    dkey = ("D", family, q, k, h, tilde)
-    d = cache.get(dkey)
-    if d is None:
-        d = cache[dkey] = build_defining_set(family, q, k, h, tilde=tilde)
+    d = build_defining_set(family, q, k, h, tilde=tilde)
     okey = ("dist", q, d.dim, d.points)
     # one lookup: hashing the key hashes every point of D
     oracle = cache.get(okey)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ def weight(values: Sequence[int]) -> int:
 
 def dimension(d: DefiningSet) -> int:
     """Rank over GF(q) of the matrix whose columns are the points of D."""
-    return rank(d.field, d.points, stop_at=d.dim)
+    return rank(d.field, d.points)
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,10 @@ class WeightDistribution:
     """Exact weight -> count map, weights strictly increasing."""
 
     entries: tuple[tuple[int, int], ...]
-    includes_zero_word: bool = True
 
     @classmethod
-    def from_counts(cls, counts: dict[int, int],
-                    includes_zero_word: bool = True) -> "WeightDistribution":
-        entries = tuple(sorted((w, c) for w, c in counts.items() if c))
-        return cls(entries=entries, includes_zero_word=includes_zero_word)
+    def from_counts(cls, counts: dict[int, int]) -> "WeightDistribution":
+        return cls(tuple(sorted((w, c) for w, c in counts.items() if c)))
 
     def counts(self) -> dict[int, int]:
         return dict(self.entries)
@@ -83,31 +80,12 @@ class WeightDistribution:
             raise ParameterError("distribution has no nonzero weight")
         return nz[-1][0]
 
-    def without_zero(self) -> "WeightDistribution":
-        return WeightDistribution(self.nonzero_entries(),
-                                  includes_zero_word=False)
-
-    def with_zero(self) -> "WeightDistribution":
-        if self.includes_zero_word:
-            return self
-        return WeightDistribution(((0, 1),) + self.entries,
-                                  includes_zero_word=True)
-
     # -- serialization -------------------------------------------------------
 
     def to_csv(self) -> str:
         lines = ["weight,count"]
         lines.extend(f"{w},{c}" for w, c in self.entries)
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "WeightDistribution":
-        rows = [ln for ln in text.splitlines() if ln.strip()]
-        counts = {}
-        for ln in rows[1:]:
-            w, c = (int(tok) for tok in ln.split(","))
-            counts[w] = c
-        return cls.from_counts(counts, includes_zero_word=0 in counts)
 
     def to_json_dict(self, n: int, dim: int) -> dict:
         return {
@@ -120,9 +98,12 @@ class WeightDistribution:
         return json.dumps(self.to_json_dict(n, dim), indent=2) + "\n"
 
 
-def class_weights(d: DefiningSet) -> tuple[np.ndarray, np.ndarray]:
+def class_weights(d: DefiningSet, budget: int = DEFAULT_BUDGET
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """The normalized functionals (c, k) of the projective classes, in
-    lexicographic order, and the codeword weight (c,) of each."""
+    lexicographic order, and the codeword weight (c,) of each: the one
+    pass over the classes, refused when over budget."""
+    check_budget(d.field.q, d.dim, len(d), budget)
     pts = np.array(d.points, dtype=np.int64).reshape(len(d), d.dim)
     funcs, weights = [], []
     for fs, vals in _class_values(d.field, pts):
@@ -132,15 +113,20 @@ def class_weights(d: DefiningSet) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(funcs), np.concatenate(weights)
 
 
+def _distribution(q: int, wts: np.ndarray) -> WeightDistribution:
+    """Histogram of the class weights, each class counting q-1 words,
+    plus the zero word."""
+    ws, cs = np.unique(wts, return_counts=True)
+    counts = dict(zip(ws.tolist(), (cs * (q - 1)).tolist()))
+    counts[0] = counts.get(0, 0) + 1  # the zero word
+    return WeightDistribution.from_counts(counts)
+
+
 def weight_distribution_bruteforce(
     d: DefiningSet, budget: int = DEFAULT_BUDGET
 ) -> WeightDistribution:
     """Exact distribution over all q^k functionals, zero word included."""
-    check_budget(d.field.q, d.dim, len(d), budget)
-    ws, cs = np.unique(class_weights(d)[1], return_counts=True)
-    counts = dict(zip(ws.tolist(), (cs * (d.field.q - 1)).tolist()))
-    counts[0] = counts.get(0, 0) + 1  # the zero word
-    return WeightDistribution.from_counts(counts)
+    return _distribution(d.field.q, class_weights(d, budget)[1])
 
 
 def ab_check(dist: WeightDistribution, q: int) -> bool:
@@ -193,10 +179,14 @@ def is_minimal_direct(
     pair, a line's smallest heaviest class and its smallest other class,
     so the scan stops once b passes the best containing class.
     """
-    check_budget(d.field.q, d.dim, len(d), budget)
-    gf, k, q = d.field, d.dim, d.field.q
-    funcs, wts = class_weights(d)
-    c = len(wts)
+    return _minimality(d.field, d.dim, *class_weights(d, budget))
+
+
+def _minimality(gf: GF, k: int, funcs: np.ndarray, wts: np.ndarray
+                ) -> MinimalityResult:
+    """The line scan of :func:`is_minimal_direct` over the class weights
+    wts of the functionals funcs (c, k)."""
+    q, c = gf.q, len(wts)
     # weight -1: a line with a zero class never sums to q times its max
     wts = np.where(wts > 0, wts, -1)
     # class index of the first vector of each lead (later leads come first)
@@ -238,9 +228,10 @@ class CodeSummary:
     d: int
     ab_holds: bool
     minimal: bool
-    #: the algorithm behind ``minimal``: always the exhaustive check
-    minimality_method: str = "direct"
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+
+    #: the algorithm behind ``minimal``: always the exhaustive check
+    minimality_method: ClassVar[str] = "direct"
 
     def to_json_dict(self) -> dict:
         out = {
@@ -258,12 +249,12 @@ class CodeSummary:
 
 def summarize(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> CodeSummary:
     """[n, dim, d], the sufficient-only AB verdict and the exhaustive
-    minimality verdict; both passes cost the same, so one budget check
-    covers them."""
-    dist = weight_distribution_bruteforce(d, budget=budget)
+    minimality verdict, both read from one pass over the classes."""
+    funcs, wts = class_weights(d, budget)
+    dist = _distribution(d.field.q, wts)
     ab = ab_check(dist, d.field.q)
     dim = dimension(d)
-    res = is_minimal_direct(d, budget=budget)
+    res = _minimality(d.field, d.dim, funcs, wts)
     return CodeSummary(
         n=len(d), dim=dim, d=dist.min_weight, ab_holds=ab,
         minimal=res.minimal, witness=res.witness,

@@ -162,34 +162,28 @@ def family1(gf: GF, k: int, h: int, relaxed: bool = False) -> DefiningSet:
     return _enumerate(gf, k, h, cond, f"F1(h={h})")
 
 
+def _has_opposite_pair(gf: GF, head: tuple[int, ...]) -> bool:
+    """True iff x_i + x_j = 0 for some i < j."""
+    for i in range(len(head)):
+        for j in range(i + 1, len(head)):
+            if gf.add(head[i], head[j]) == 0:
+                return True
+    return False
+
+
 def family2(gf: GF, k: int, h: int, relaxed: bool = False) -> DefiningSet:
     """Points with prod_{i<j<=h} (x_i + x_j) = 0."""
     _check_range("family2", h, k, 3, relaxed)
-
-    def cond(head: tuple[int, ...]) -> bool:
-        for i in range(len(head)):
-            for j in range(i + 1, len(head)):
-                if gf.add(head[i], head[j]) == 0:
-                    return True
-        return False
-
-    return _enumerate(gf, k, h, cond, f"F2(h={h})")
+    return _enumerate(gf, k, h, lambda head: _has_opposite_pair(gf, head),
+                      f"F2(h={h})")
 
 
 def family3(gf: GF, k: int, h: int, relaxed: bool = False) -> DefiningSet:
     """Points with prod x_i * prod_{i<j<=h} (x_i + x_j) = 0."""
     _check_range("family3", h, k, 3, relaxed)
-
-    def cond(head: tuple[int, ...]) -> bool:
-        if 0 in head:
-            return True
-        for i in range(len(head)):
-            for j in range(i + 1, len(head)):
-                if gf.add(head[i], head[j]) == 0:
-                    return True
-        return False
-
-    return _enumerate(gf, k, h, cond, f"F3(h={h})")
+    return _enumerate(
+        gf, k, h, lambda head: 0 in head or _has_opposite_pair(gf, head),
+        f"F3(h={h})")
 
 
 def family4(gf: GF, k: int, h: int, relaxed: bool = False) -> DefiningSet:
@@ -303,12 +297,11 @@ def ranks(gf: GF, stacks: np.ndarray) -> np.ndarray:
     return found
 
 
-def rank(gf: GF, rows: Iterable[Sequence[int]], stop_at: Optional[int] = None) -> int:
-    """Rank over GF(q) of a list of rows, capped at stop_at: the
-    one-matrix case of :func:`ranks`."""
+def rank(gf: GF, rows: Iterable[Sequence[int]]) -> int:
+    """Rank over GF(q) of a list of rows: the one-matrix case of
+    :func:`ranks`."""
     a = np.array(list(rows), dtype=np.int64)
-    r = int(ranks(gf, a[None])[0]) if a.size else 0
-    return r if stop_at is None else min(r, stop_at)
+    return int(ranks(gf, a[None])[0]) if a.size else 0
 
 
 def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:

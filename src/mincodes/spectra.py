@@ -264,7 +264,7 @@ def tilde_transfer(base: WeightDistribution, n: int,
     (n + (q-2)w/(q-1), (q-1)A); in particular the zero word maps to the
     zero word plus weight n with count q-1.  Equal images are merged.
     """
-    if not base.includes_zero_word:
+    if 0 not in base.counts():
         raise ParameterError("tilde_transfer needs the base zero word")
     if n % (q - 1):
         raise ParameterError(
@@ -286,7 +286,7 @@ def tilde_transfer(base: WeightDistribution, n: int,
 
 def _tilde_report(base: SpectrumReport) -> SpectrumReport:
     q, n = base.q, base.n
-    dist = tilde_transfer(base.distribution.with_zero(), n, q)
+    dist = tilde_transfer(base.distribution, n, q)
     prov: list[tuple[int, str]] = [(0, "zero word"), (n, "n (base zero word)")]
     for w, label in base.provenance:
         prov.append((2 * w, f"2*({label})"))

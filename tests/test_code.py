@@ -5,9 +5,10 @@ import random
 import numpy as np
 import pytest
 
+from mincodes import code
 from mincodes.code import (
-    WeightDistribution,
     ab_check,
+    class_weights,
     codeword,
     dimension,
     functional_count,
@@ -241,19 +242,35 @@ def test_summarize():
     assert j["minimal_direct"] is True and "witness" not in j
 
 
-def test_summarize_falls_back_to_ab():
+def test_summarize_budget_covers_one_pass():
     d = family4(make_field(3), 3, 3)
-    dist_cost = functional_count(3, 3) * len(d)
-    s = summarize(d, budget=dist_cost)  # distribution fits, direct check too
-    assert s.minimality_method == "direct"
+    cost = functional_count(3, 3) * len(d)
+    assert summarize(d, budget=cost).minimal
+    with pytest.raises(BudgetExceeded) as exc:
+        summarize(d, budget=cost - 1)
+    assert exc.value.required == cost
+
+
+def test_summarize_runs_one_class_pass(monkeypatch):
+    calls = []
+
+    def spy(d, *args):
+        calls.append(d)
+        return class_weights(d, *args)
+
+    monkeypatch.setattr(code, "class_weights", spy)
+    d = family4(make_field(3), 2, 2, relaxed=True)  # not minimal
+    s = summarize(d)
+    assert calls == [d]
+    # the verdicts of the two separate passes
+    assert s.d == weight_distribution_bruteforce(d).min_weight
+    res = is_minimal_direct(d)
+    assert not s.minimal and (s.minimal, s.witness) == (res.minimal,
+                                                         res.witness)
 
 
 def test_distribution_serialization_round_trips():
     dist = weight_distribution_bruteforce(family4(make_field(3), 3, 3))
-    assert WeightDistribution.from_csv(dist.to_csv()) == dist
     parsed = json.loads(dist.to_json(18, 3))
     assert parsed["n"] == 18 and parsed["dim"] == 3
     assert {e["w"]: e["count"] for e in parsed["weights"]} == dist.counts()
-    nz = dist.without_zero()
-    assert not nz.includes_zero_word
-    assert nz.with_zero() == dist

@@ -38,6 +38,7 @@ CASES = {
     "verify_all_3_skip": ("verify-all", "--qs", "3", "--max-points", "200",
                           "--budget", "500"),
     "weights_over_budget": ("weights", *F4_333, "--budget", "10"),
+    "minimal_over_budget": ("minimal", *F4_333, "--budget", "10"),
 }
 
 

@@ -160,9 +160,9 @@ def test_tilde_transfer_validation():
         tilde_transfer(WeightDistribution.from_counts({0: 1, 3: 2}), 4, 3)
     with pytest.raises(ParameterError):
         tilde_transfer(WeightDistribution.from_counts({0: 1, 2: 2}), 5, 3)
-    nz = WeightDistribution.from_counts({2: 2}, includes_zero_word=False)
-    with pytest.raises(ParameterError):
-        tilde_transfer(nz, 4, 3)
+    # no zero entry: the transfer would give {4: 2, 5: 4}, 6 words, not 27
+    with pytest.raises(ParameterError, match="zero word"):
+        tilde_transfer(WeightDistribution.from_counts({2: 2}), 4, 3)
 
 
 def test_family4_tilde():
