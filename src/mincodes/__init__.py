@@ -1,11 +1,10 @@
 """Minimal linear codes from defining sets in affine space: family
 constructors, exact closed-form weight distributions, and an exhaustive
-enumeration oracle that cross-checks every formula."""
+oracle that cross-checks every formula."""
 
 from .field import GF, FieldError, field_of_order, make_field
 from .combinat import (
     count_A,
-    count_A_closed,
     enumerate_part_multisets,
     gamma_cap,
     multinomial,

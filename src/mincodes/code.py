@@ -1,9 +1,12 @@
-"""Codes from defining sets: exact weight enumeration and minimality.
+"""Codes from defining sets: exact weight distributions and minimality.
 
-The enumeration oracle walks one functional per projective class (scalar
-multiples of a functional permute nothing and rescale every entry, so
-weights and supports are class invariants) and multiplies counts by q-1.
-Minimality is decided from the same class weights.
+Weights and supports are class invariants (scalar multiples of a
+functional permute nothing and rescale every entry), so the oracle finds
+the weight of one functional per projective class and multiplies counts
+by q-1.  It evaluates each class on every point of D, or reads n minus
+the number of points on its hyperplane from one exact count over all
+functionals, whichever is cheaper.  Minimality is decided from the same
+class weights.
 """
 
 from __future__ import annotations
@@ -98,15 +101,70 @@ class WeightDistribution:
         return json.dumps(self.to_json_dict(n, dim), indent=2) + "\n"
 
 
+def _hyperplane_counts(gf: GF, pts: np.ndarray) -> np.ndarray:
+    """|D ∩ ker f| for every functional f of AG(k,q), at the base-q value
+    of f (f_1 most significant), for the points pts (n, k) of D.
+
+    The table starts as D's indicator with a trailing partial sum s = 0.
+    Each step replaces the coordinate x next to s by a coefficient f,
+    moving the count at (x, s) to (f, s + f x), and puts f in front, so
+    after k steps the axes are (f_1, ..., f_k, s) and s = f.x.
+    """
+    q, k = gf.q, pts.shape[1]
+    # counts never exceed n < q^k, and the table has q^(k+1) cells
+    t = np.zeros((q ** k, q), dtype=np.int32)
+    t[pts @ q ** np.arange(k - 1, -1, -1), 0] = 1
+    e = np.arange(q)
+    # source[f, x, s]: the flat (x, s - f x) cell whose count lands at s
+    source = e[:, None] * q + gf.add_table[
+        e, gf.neg_table[gf.mul_table][:, :, None]]
+    for _ in range(k):
+        t = t.reshape(-1, q * q)
+        out = np.empty((q, len(t), q), dtype=np.int32)
+        for f in range(q):
+            np.add.reduce(t.take(source[f], axis=1), axis=1, out=out[f])
+        t = out
+    return t.reshape(-1, q)[:, 0]
+
+
+def _transform_is_cheaper(gf: GF, k: int, n: int) -> bool:
+    """Whether :func:`_hyperplane_counts` takes less time than
+    enumerating the classes on the points of D.
+
+    Both costs are in gathered cells of the transform, about 3 ns each.
+    A step gathers q^(k+2) cells and pays about 32 more per row of q^2
+    cells and 2000 per numpy call.  The enumeration pays 5 cells per
+    value over a prime field, 11 over a prime power (k table lookups),
+    and 200 per class.  The constants are fitted to timings of both
+    routes on about 480 sets, q from 2 to 53 and k from 1 to 13.
+    """
+    q = gf.q
+    transform = k * (q ** (k + 2) + 32 * q ** k + 2000 * q)
+    value = 5 if gf.m == 1 else 11
+    return transform < functional_count(q, k) * (value * n + 200)
+
+
 def class_weights(d: DefiningSet, budget: int = DEFAULT_BUDGET
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The normalized functionals (c, k) of the projective classes, in
     lexicographic order, and the codeword weight (c,) of each: the one
-    pass over the classes, refused when over budget."""
-    check_budget(d.field.q, d.dim, len(d), budget)
-    pts = np.array(d.points, dtype=np.int64).reshape(len(d), d.dim)
+    pass over the classes, refused when over budget.
+
+    The weights come from :func:`_hyperplane_counts` when that costs less
+    than evaluating every class on every point, which the budget charges.
+    """
+    gf, k, n = d.field, d.dim, len(d)
+    check_budget(gf.q, k, n, budget)
+    pts = np.array(d.points, dtype=np.int64).reshape(n, k)
+    if _transform_is_cheaper(gf, k, n):
+        q = gf.q
+        # normalized functionals lead with 1: base-q values [q^m, 2 q^m)
+        idx = np.concatenate([np.arange(q ** m, 2 * q ** m)
+                              for m in range(k)])
+        funcs = idx[:, None] // q ** np.arange(k - 1, -1, -1) % q
+        return funcs, n - _hyperplane_counts(gf, pts)[idx].astype(np.int64)
     funcs, weights = [], []
-    for fs, vals in _class_values(d.field, pts):
+    for fs, vals in _class_values(gf, pts):
         funcs.append(fs)
         weights.append(np.count_nonzero(vals, axis=1))
         del vals  # freed before the next block is computed
@@ -179,7 +237,18 @@ def is_minimal_direct(
     pair, a line's smallest heaviest class and its smallest other class,
     so the scan stops once b passes the best containing class.
     """
+    _check_scan_budget(d, budget)
     return _minimality(d.field, d.dim, *class_weights(d, budget))
+
+
+def _check_scan_budget(d: DefiningSet, budget: int) -> None:
+    """Refuse the class pass plus line scan of :func:`is_minimal_direct`
+    when over budget.  The scan visits q of the q+1 classes on each of
+    the c(c-1)/(q(q+1)) lines through the c classes, so each class is
+    charged the larger of n and (c-1)/(q+1), rounded up."""
+    q = d.field.q
+    c = functional_count(q, d.dim)
+    check_budget(q, d.dim, max(len(d), -(-(c - 1) // (q + 1))), budget)
 
 
 def _minimality(gf: GF, k: int, funcs: np.ndarray, wts: np.ndarray
@@ -250,6 +319,7 @@ class CodeSummary:
 def summarize(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> CodeSummary:
     """[n, dim, d], the sufficient-only AB verdict and the exhaustive
     minimality verdict, both read from one pass over the classes."""
+    _check_scan_budget(d, budget)
     funcs, wts = class_weights(d, budget)
     dist = _distribution(d.field.q, wts)
     ab = ab_check(dist, d.field.q)

@@ -61,8 +61,8 @@ def _A(parts: tuple[int, ...], q: int) -> int:
     return psi(sum(head), q) * phi(last, q) + (-1) ** last * _A(head, q)
 
 
-def count_A(parts: Sequence[int], q: int, gamma_is_zero: bool = True) -> int:
-    """Solutions of the block-sum system S_{r1..rl}(gamma) with pairwise
+def count_A(parts: Sequence[int], q: int) -> int:
+    """Solutions of the block-sum system S_{r1..rl}(0) with pairwise
     distinct nonzero block coefficients and all variables nonzero.
 
     ``parts`` may carry a single trailing 0 (notational convention: same
@@ -75,30 +75,7 @@ def count_A(parts: Sequence[int], q: int, gamma_is_zero: bool = True) -> int:
             f"need {len(parts)} pairwise distinct nonzero coefficients "
             f"but GF({q}) has only {q - 1}"
         )
-    a = _A(parts, q)
-    if gamma_is_zero:
-        return a
-    return exact_div(psi(sum(parts), q) - a, q - 1)
-
-
-def count_A_closed(parts: Sequence[int], q: int) -> int:
-    """Alternating-sum expansion of the recursion; must agree with
-    count_A(parts, q) everywhere."""
-    parts = _strip_trailing_zero(parts)
-    if len(parts) > q - 1:
-        raise CountError(
-            f"need {len(parts)} pairwise distinct nonzero coefficients "
-            f"but GF({q}) has only {q - 1}"
-        )
-    l = len(parts)
-    if l == 1:
-        return psi(parts[0], q)
-    total = psi(sum(parts[: l - 1]), q) * phi(parts[l - 1], q)
-    total += (-1) ** sum(parts[1:]) * psi(parts[0], q)
-    for i in range(1, l - 1):
-        sign = (-1) ** sum(parts[l - i:])
-        total += sign * psi(sum(parts[: l - i - 1]), q) * phi(parts[l - i - 1], q)
-    return total
+    return _A(parts, q)
 
 
 def surjections(x: int, y: int) -> int:

@@ -94,12 +94,16 @@ class DefiningSet:
     # -- text serialization (header "q k n", one point per line) -----------
 
     def to_text(self) -> str:
+        """The header "q k n" and one point per line.  The family tag is
+        not written, so :meth:`from_text` gives it back as None."""
         lines = [f"{self.field.q} {self.dim} {len(self.points)}"]
         lines.extend(" ".join(str(x) for x in pt) for pt in self.points)
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "DefiningSet":
+        """Parse :meth:`to_text` output; the family tag is None, because
+        the format carries none."""
         try:  # no lines, a header not of 3 tokens, or a non-integer
             (q, k, n), *pts = (tuple(map(int, ln.split()))
                                for ln in text.splitlines() if ln.strip())

@@ -1,11 +1,12 @@
-"""Shared brute-force oracles, kept independent of the library's
-closed-form code paths: everything here counts by direct enumeration
-over field tuples."""
+"""Shared oracles, kept independent of the library's code paths: the
+brute-force ones count by direct enumeration over field tuples, and the
+two block-system counts below are identities that only tests use."""
 
 import itertools
 
 import pytest
 
+from mincodes.combinat import count_A, exact_div, phi, psi
 from mincodes.field import field_of_order
 
 
@@ -47,6 +48,29 @@ def brute_block_system_count(parts, alphas, q, gamma):
         if weighted == 0:
             count += 1
     return count
+
+
+def count_A_closed(parts, q):
+    """Alternating-sum expansion of the recursion behind count_A; must
+    agree with count_A(parts, q) for every composition parts."""
+    l = len(parts)
+    if l == 1:
+        return psi(parts[0], q)
+    total = psi(sum(parts[: l - 1]), q) * phi(parts[l - 1], q)
+    total += (-1) ** sum(parts[1:]) * psi(parts[0], q)
+    for i in range(1, l - 1):
+        sign = (-1) ** sum(parts[l - i:])
+        total += sign * psi(sum(parts[: l - i - 1]), q) * phi(parts[l - i - 1], q)
+    return total
+
+
+def count_A_nonzero_gamma(parts, q):
+    """Solutions of the block-sum system for a nonzero total gamma.
+    Scaling every variable by one nonzero scalar shows that all nonzero
+    gammas have the same count, and the psi(s) all-nonzero solutions of
+    the weighted equation alone split into count_A for gamma = 0 and q-1
+    equal shares."""
+    return exact_div(psi(sum(parts), q) - count_A(parts, q), q - 1)
 
 
 def brute_gamma_cap(h, q):

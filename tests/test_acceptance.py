@@ -23,7 +23,6 @@ from mincodes.code import (
 )
 from mincodes.combinat import (
     count_A,
-    count_A_closed,
     multinomial,
     phi,
     psi,
@@ -44,7 +43,8 @@ from mincodes.spectra import (
     family4_tilde_distribution,
     tilde_transfer,
 )
-from conftest import brute_block_system_count, brute_sum_count
+from conftest import brute_block_system_count, brute_sum_count, \
+    count_A_closed, count_A_nonzero_gamma
 
 EXAMPLES = settings(max_examples=200, deadline=None)
 
@@ -203,7 +203,7 @@ def test_criterion_8_property_suites():
         assert expected == brute_block_system_count(parts, alphas, q, 0)
         assert expected == count_A_closed(parts, q)
         gamma = data.draw(st.integers(1, q - 1))
-        assert count_A(parts, q, gamma_is_zero=False) == \
+        assert count_A_nonzero_gamma(parts, q) == \
             brute_block_system_count(parts, alphas, q, gamma)
 
     @EXAMPLES

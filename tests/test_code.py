@@ -27,6 +27,7 @@ from mincodes.pointset import (
     family1,
     family2,
     family4,
+    is_cutting,
     tilde_join,
 )
 from conftest import brute_is_minimal, brute_rank, brute_weight_distribution
@@ -184,11 +185,10 @@ def test_minimality():
     assert all(b != 0 for b, s in zip(big, small) if s != 0)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_is_minimal_direct_matches_the_oracle_on_random_sets(q):
-    gf = field_of_order(q)
-    rng = random.Random(q)
-    verdicts, low_rank = set(), 0
+def random_sets(gf, rng):
+    """Seeded sets for k = 1..4: the empty set, a subset of a hyperplane
+    (dim < k), sparse sets, and near-full sets of small spaces."""
+    q = gf.q
     for k in range(1, 5):
         space = [pt for pt in itertools.product(range(q), repeat=k)
                  if any(pt)]
@@ -204,19 +204,121 @@ def test_is_minimal_direct_matches_the_oracle_on_random_sets(q):
                 pts = rng.sample(plane, rng.randint(0, len(plane)))
             else:
                 # sparse sets are rarely minimal, near-full ones (small
-                # spaces only, to keep the oracle quick) are
+                # spaces only, to keep the oracles quick) are
                 dense = trial == 3 and q ** k <= 125
                 size = (max(len(space) - rng.randrange(3), 0) if dense
                         else rng.randint(1, min(len(space), 4 * k)))
                 pts = rng.sample(space, size)
-            d = DefiningSet(field=gf, dim=k, points=tuple(pts))
-            res = is_minimal_direct(d)
-            witness = brute_is_minimal(d)
-            assert (res.minimal, res.witness) == (witness is None,
-                                                  witness), d
-            verdicts.add(res.minimal)
-            low_rank += dimension(d) < k
+            yield DefiningSet(field=gf, dim=k, points=tuple(pts))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_is_minimal_direct_matches_the_oracle_on_random_sets(q):
+    gf = field_of_order(q)
+    verdicts, low_rank = set(), 0
+    for d in random_sets(gf, random.Random(q)):
+        res = is_minimal_direct(d)
+        witness = brute_is_minimal(d)
+        assert (res.minimal, res.witness) == (witness is None, witness), d
+        verdicts.add(res.minimal)
+        low_rank += dimension(d) < d.dim
     assert verdicts == {True, False} and low_rank > 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_weight_routes_agree_on_random_sets(q, monkeypatch):
+    gf = field_of_order(q)
+    kinds = set()
+    for d in random_sets(gf, random.Random(100 + q)):
+        routes = []
+        for transform in (True, False):
+            monkeypatch.setattr(code, "_transform_is_cheaper",
+                                lambda *args: transform)
+            routes.append(class_weights(d))
+        (f1, w1), (f2, w2) = routes
+        assert np.array_equal(f1, f2) and np.array_equal(w1, w2), d
+        assert f1.tolist() == [list(f) for f in
+                               projective_functionals(gf, d.dim)]
+        brute = brute_weight_distribution(d)
+        for _, wts in routes:
+            assert code._distribution(q, wts).counts() == brute, d
+        kinds.update(kind for kind, seen in (
+            ("empty", not d.points), ("dim < k", dimension(d) < d.dim),
+            ("near-full", len(d) >= q ** d.dim - 3)) if seen)
+    assert kinds == {"empty", "dim < k", "near-full"}
+
+
+def test_class_weights_picks_the_cheaper_route(monkeypatch):
+    class Chosen(Exception):
+        pass
+
+    def stop(route):
+        def spy(*args):
+            raise Chosen(route)
+        return spy
+
+    monkeypatch.setattr(code, "_hyperplane_counts", stop("transform"))
+    monkeypatch.setattr(code, "_class_values", stop("enumeration"))
+    # few classes and many points: the transform's q^(k+2) cells make it
+    # 3 to 10 times slower than enumerating on these large_q sets
+    for q in (32, 49, 53):
+        with pytest.raises(Chosen, match="enumeration"):
+            class_weights(family4(field_of_order(q), 3, 3))
+    with pytest.raises(Chosen, match="transform"):
+        class_weights(family4(field_of_order(2), 10, 3))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_cutting_equals_minimality_on_spanning_sets(q):
+    # the two routes agree only when D spans AG(k,q); a set inside a
+    # proper subspace is never cutting for k >= 2, minimal or not
+    gf = field_of_order(q)
+    rng = random.Random(200 + q)
+    sets = list(random_sets(gf, rng))
+    for k in range(1, 5):
+        space = [pt for pt in itertools.product(range(q), repeat=k)
+                 if any(pt)]
+        sets += [DefiningSet(field=gf, dim=k, points=tuple(rng.sample(
+            space, rng.randint(k, min(len(space), 6 * k)))))
+            for _ in range(6)]
+    seen = set()
+    for d in sets:
+        cut, minimal = is_cutting(d), is_minimal_direct(d).minimal
+        if dimension(d) == d.dim:
+            assert cut == minimal, d
+            seen.add(cut)
+        elif d.dim >= 2:
+            assert not cut, d
+    assert seen == {True, False}
+
+
+def test_minimal_but_not_cutting():
+    # the 10 weight-2 vectors of GF(2)^5 span only the even-weight
+    # hyperplane: C_D is minimal, D is not cutting
+    pts = tuple(sorted(tuple(int(i in pair) for i in range(5))
+                       for pair in itertools.combinations(range(5), 2)))
+    d = DefiningSet(field=field_of_order(2), dim=5, points=pts)
+    assert dimension(d) == 4
+    assert is_minimal_direct(d).minimal and not is_cutting(d)
+
+
+def test_minimality_budget_charges_the_line_scan(monkeypatch):
+    # the 136 vectors of weight 1 and 2 in GF(2)^16: c * n is 8.9e6, but
+    # the line scan visits c(c-1)/3 = 1.4e9 cells for the c = 65535 classes
+    def spy(*args):
+        raise AssertionError("the class pass ran before the budget check")
+
+    monkeypatch.setattr(code, "class_weights", spy)
+    pts = tuple(sorted(
+        tuple(int(i in part) for i in range(16))
+        for size in (1, 2) for part in itertools.combinations(range(16),
+                                                              size)))
+    d = DefiningSet(field=field_of_order(2), dim=16, points=pts)
+    assert len(d) == 136
+    for check in (is_minimal_direct, summarize):
+        with pytest.raises(BudgetExceeded) as exc:
+            check(d)
+        assert exc.value.required == 65535 * 21845
 
 
 def test_scale_invariant_weights_divisible():

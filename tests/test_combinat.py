@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from mincodes.combinat import (
     CountError,
     count_A,
-    count_A_closed,
     enumerate_part_multisets,
     gamma_cap,
     multinomial,
@@ -16,7 +15,7 @@ from mincodes.combinat import (
     surjections,
 )
 from conftest import brute_block_system_count, brute_gamma_cap, \
-    brute_sum_count
+    brute_sum_count, count_A_closed, count_A_nonzero_gamma
 
 PRIME_POWERS_SMALL = [2, 3, 4, 5, 7]
 
@@ -105,7 +104,7 @@ def test_count_A_nonzero_gamma_brute_force():
         for parts in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1)]:
             alphas = tuple(gf_nonzero[q][: len(parts)])
             for gamma in (1, 2):
-                assert count_A(parts, q, gamma_is_zero=False) == \
+                assert count_A_nonzero_gamma(parts, q) == \
                     brute_block_system_count(parts, alphas, q, gamma)
 
 

@@ -296,6 +296,8 @@ def test_text_round_trip():
     assert back.field == d.field
     assert back.to_text() == text
     assert text.splitlines()[0] == f"4 4 {len(d)}"
+    # the format carries no family tag
+    assert d.family == "F1(h=4)" and back.family is None
 
 
 def test_from_text_rejects_a_point_count_mismatch():
