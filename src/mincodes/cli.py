@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from . import spectra
 from .code import (
     DEFAULT_BUDGET,
-    WeightDistribution,
+    _markdown_table,
     dimension,
     summarize,
     weight_distribution_bruteforce,
@@ -69,12 +69,6 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _dist_markdown(dist: WeightDistribution) -> str:
-    lines = ["| Weight i | B_i |", "|---|---|"]
-    lines.extend(f"| {w} | {c} |" for w, c in dist.entries)
-    return "\n".join(lines) + "\n"
-
-
 def cmd_weights(args: argparse.Namespace) -> int:
     family, q, k, h = args.family, args.q, args.k, args.h
     report = None
@@ -119,7 +113,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
         _emit(text, args.output)
     else:  # md
         text = (report.to_markdown() if report is not None
-                else _dist_markdown(oracle))
+                else _markdown_table(("Weight i", "B_i"), oracle.entries))
         if match is not None:
             text += f"\nmatch: {str(match).lower()}\n"
         _emit(text, args.output)

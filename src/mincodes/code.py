@@ -11,9 +11,8 @@ class weights.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -97,8 +96,12 @@ class WeightDistribution:
             "weights": [{"w": w, "count": c} for w, c in self.entries],
         }
 
-    def to_json(self, n: int, dim: int) -> str:
-        return json.dumps(self.to_json_dict(n, dim), indent=2) + "\n"
+
+def _markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A markdown table, in the layout of the paper's weight tables."""
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines.extend("| " + " | ".join(map(str, row)) + " |" for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _hyperplane_counts(gf: GF, pts: np.ndarray) -> np.ndarray:

@@ -147,7 +147,6 @@ def _enumerate(
             pt = head + tail
             if any(pt):
                 points.append(pt)
-    points.sort()
     return DefiningSet(field=gf, dim=k, points=tuple(points), family=tag)
 
 

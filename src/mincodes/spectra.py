@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import combinat
 from .combinat import exact_div, gamma_cap, multinomial, psi
-from .code import WeightDistribution, codeword, weight
+from .code import WeightDistribution, _markdown_table, codeword, weight
 from .field import factor_prime_power
 from .pointset import DefiningSet, ParameterError
 
@@ -59,14 +59,10 @@ class SpectrumReport:
         prov: dict[int, list[str]] = {}
         for w, label in self.provenance:
             prov.setdefault(w, []).append(label)
-        lines = [
-            "| Weight i | B_i | origin |",
-            "|---|---|---|",
-        ]
-        for w, c in self.distribution.entries:
-            origins = " = ".join(prov.get(w, ["zero word"]))
-            lines.append(f"| {w} | {c} | {origins} |")
-        return "\n".join(lines) + "\n"
+        return _markdown_table(
+            ("Weight i", "B_i", "origin"),
+            ((w, c, " = ".join(prov.get(w, ["zero word"])))
+             for w, c in self.distribution.entries))
 
 
 def _aggregate(

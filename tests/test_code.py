@@ -373,6 +373,6 @@ def test_summarize_runs_one_class_pass(monkeypatch):
 
 def test_distribution_serialization_round_trips():
     dist = weight_distribution_bruteforce(family4(make_field(3), 3, 3))
-    parsed = json.loads(dist.to_json(18, 3))
+    parsed = json.loads(json.dumps(dist.to_json_dict(18, 3)))
     assert parsed["n"] == 18 and parsed["dim"] == 3
     assert {e["w"]: e["count"] for e in parsed["weights"]} == dist.counts()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -126,3 +127,55 @@ def test_explicit_reducible_modulus_rejected():
 
 def test_repr():
     assert repr(make_field(2, 2)) == "GF(2^2), modulus=1,1,1"
+
+
+# sha256 of every modulus and table of make_field, captured when the tables
+# were still built by polynomial multiplication and trial division
+TABLES_DIGEST = (
+    "c8596b8f7d3323d672abb95da476b1b1014e19551330462fd243e4ab2e28f8aa")
+
+
+def test_tables_of_every_field_are_pinned():
+    h = hashlib.sha256()
+    orders = 0
+    for q in range(2, MAX_ORDER + 1):
+        try:
+            p, m = factor_prime_power(q)
+        except FieldError:
+            continue
+        gf = make_field(p, m)
+        h.update(repr((p, m, gf.modulus)).encode())
+        h.update(gf.add_table.tobytes())
+        h.update(gf.mul_table.tobytes())
+        orders += 1
+    assert orders == 70
+    assert h.hexdigest() == TABLES_DIGEST
+
+
+def _mobius(n: int) -> int:
+    mu, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if n > 1 else mu
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+                                 (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
+                                 (7, 2), (11, 2)])
+def test_accepted_moduli_match_gauss_count(p, m):
+    accepted = 0
+    for low in itertools.product(range(p), repeat=m):
+        try:
+            GF(p, m, low + (1,))
+        except FieldError:
+            continue
+        accepted += 1
+    # monic irreducibles of degree m: (1/m) sum_{d|m} mu(d) p^(m/d)
+    total = sum(_mobius(d) * p ** (m // d) for d in range(1, m + 1)
+                if m % d == 0)
+    assert accepted * m == total

@@ -26,6 +26,8 @@ CASES = {
     "weights_f4_3_md": ("weights", *F4_333, "--format", "md"),
     "weights_f2_7": ("weights", "--family", "2", "--q", "7", "--k", "3",
                      "--h", "3"),
+    "weights_f2_7_md": ("weights", "--family", "2", "--q", "7", "--k", "3",
+                        "--h", "3", "--format", "md"),
     "weights_f3_7": ("weights", "--family", "3", "--q", "7", "--k", "3",
                      "--h", "3"),
     "weights_f4_5_tilde": ("weights", "--family", "4", "--q", "5", "--k", "3",
