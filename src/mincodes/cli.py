@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 formula/oracle mismatch, 2 invalid parameters,
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import sys
@@ -74,14 +75,14 @@ def cmd_weights(args: argparse.Namespace) -> int:
     report = None
     oracle = None
     if args.method in ("formula", "both"):
-        if family in (2, 3) and args.method == "formula":
+        if family in spectra.DISTRIBUTIONS:
+            report = spectra.closed_form_report(
+                family, q, k, h, tilde=args.tilde, relaxed=args.relaxed
+            )
+        elif args.method == "formula":
             raise ParameterError(
                 f"family {family} has no closed-form weight distribution; "
                 "use --method enumerate or both"
-            )
-        if family in (1, 4):
-            report = spectra.closed_form_report(
-                family, q, k, h, tilde=args.tilde, relaxed=args.relaxed
             )
     if args.method in ("enumerate", "both"):
         d = build_defining_set(family, q, k, h, tilde=args.tilde,
@@ -133,8 +134,9 @@ def cmd_minimal(args: argparse.Namespace) -> int:
 
 def _sweep_rows(qs: Sequence[int], max_points: int):
     """Canonical parameter order for the verification sweep."""
-    for family in (1, 2, 3, 4):
-        for tilde in ((False, True) if family in (1, 4) else (False,)):
+    for family in FAMILIES:
+        for tilde in ((False, True) if family in spectra.DISTRIBUTIONS
+                      else (False,)):
             for q in qs:
                 k = FAMILY_H_MIN[family]
                 while q ** k <= max_points:
@@ -163,7 +165,7 @@ def verify_one(family: int, q: int, k: int, h: int, tilde: bool,
     if oracle is None:
         oracle = cache[okey] = weight_distribution_bruteforce(d, budget=budget)
     report = (spectra.closed_form_report(family, q, k, h, tilde=tilde)
-              if family in (1, 4) else None)
+              if family in spectra.DISTRIBUTIONS else None)
     failure = spectra.oracle_failure(family, q, k, h, tilde, d, oracle,
                                      report)
     if failure is not None:
@@ -184,30 +186,26 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
             f"--qs takes comma-separated integers, got {args.qs!r}") from None
     cache: dict = {}
     lines = []
-    any_fail = False
+    tally: collections.Counter = collections.Counter()
     for family, tilde, q, k, h in _sweep_rows(qs, args.max_points):
         try:
             status, detail = verify_one(family, q, k, h, tilde,
                                          args.budget, cache)
         except BudgetExceeded as exc:
             status, detail = "SKIP", str(exc)
+        tally[status] += 1
         tag = f"F{family}{'~' if tilde else ''}"
         lines.append(f"{tag:4} q={q:<3} k={k:<3} h={h:<3} {status:4} {detail}")
-        if status == "FAIL":
-            any_fail = True
-    summary = sum(1 for ln in lines if " PASS" in ln)
-    lines.append(
-        f"{summary} PASS, {sum(1 for ln in lines if ' FAIL' in ln)} FAIL, "
-        f"{sum(1 for ln in lines if ' SKIP' in ln)} SKIP"
-    )
+    lines.append(f"{tally['PASS']} PASS, {tally['FAIL']} FAIL, "
+                 f"{tally['SKIP']} SKIP")
     _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_MISMATCH if any_fail else EXIT_OK
+    return EXIT_MISMATCH if tally["FAIL"] else EXIT_OK
 
 
 def _add_common(sub: argparse.ArgumentParser, with_params: bool) -> None:
     if with_params:
         sub.add_argument("--family", type=int, required=True,
-                         choices=(1, 2, 3, 4))
+                         choices=sorted(FAMILIES))
         sub.add_argument("--q", type=int, required=True)
         sub.add_argument("--k", type=int, required=True)
         sub.add_argument("--h", type=int, required=True)

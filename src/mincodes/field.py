@@ -54,22 +54,6 @@ def _tables(p: int, m: int,
     return add, mul
 
 
-def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree m over GF(p).
-
-    Candidates are scanned by the base-p value of their non-leading
-    coefficients (low coefficient least significant), which is the
-    canonical order used for reproducible moduli.
-    """
-    for low in itertools.product(range(p), repeat=m):
-        # itertools.product varies the last slot fastest; we want the
-        # low-order coefficient fastest, so reverse.
-        cand = tuple(reversed(low)) + (1,)
-        if _tables(p, m, cand)[1][1:, 1:].all():  # no zero divisors
-            return cand
-    raise FieldError(f"no irreducible polynomial of degree {m} over GF({p})")
-
-
 class GF:
     """A finite field GF(p^m) with dense add/mul tables.
 
@@ -148,9 +132,20 @@ class GF:
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1) -> GF:
     """Build GF(p^m) with the canonical (lexicographically smallest
-    monic irreducible) modulus.  Deterministic across runs."""
+    monic irreducible) modulus.  Deterministic across runs.
+
+    Candidates are tried by the base-p value of their non-leading
+    coefficients, low coefficient least significant.
+    """
     _check_order(p, m)  # before the search builds any table
-    return GF(p, m, _smallest_irreducible(p, m))
+    for low in itertools.product(range(p), repeat=m):
+        # product varies the last slot fastest, so reverse it.  The
+        # order has passed _check_order and each candidate is monic of
+        # degree m, so the only FieldError left is a reducible modulus.
+        try:
+            return GF(p, m, tuple(reversed(low)) + (1,))
+        except FieldError:
+            pass
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:

@@ -114,7 +114,12 @@ class DefiningSet:
         return cls(field=field_of_order(q), dim=k, points=tuple(pts))
 
 
-def _check_range(name: str, h: int, k: int, h_min: int, relaxed: bool) -> None:
+#: smallest h each family is proved for
+FAMILY_H_MIN = {1: 4, 2: 3, 3: 3, 4: 3}
+
+
+def _check_range(family: int, h: int, k: int, relaxed: bool) -> None:
+    name, h_min = f"family{family}", FAMILY_H_MIN[family]
     if k < 1 or h < 1 or h > k:
         raise ParameterError(f"{name} requires 1 <= h <= k; got h={h}, k={k}")
     if h < h_min and not relaxed:
@@ -152,7 +157,7 @@ def _enumerate(
 
 def family1(gf: GF, k: int, h: int, relaxed: bool = False) -> DefiningSet:
     """Points with (x_1 + ... + x_h) * x_1 * ... * x_h = 0."""
-    _check_range("family1", h, k, 4, relaxed)
+    _check_range(1, h, k, relaxed)
 
     def cond(head: tuple[int, ...]) -> bool:
         if 0 in head:
@@ -176,14 +181,14 @@ def _has_opposite_pair(gf: GF, head: tuple[int, ...]) -> bool:
 
 def family2(gf: GF, k: int, h: int, relaxed: bool = False) -> DefiningSet:
     """Points with prod_{i<j<=h} (x_i + x_j) = 0."""
-    _check_range("family2", h, k, 3, relaxed)
+    _check_range(2, h, k, relaxed)
     return _enumerate(gf, k, h, lambda head: _has_opposite_pair(gf, head),
                       f"F2(h={h})")
 
 
 def family3(gf: GF, k: int, h: int, relaxed: bool = False) -> DefiningSet:
     """Points with prod x_i * prod_{i<j<=h} (x_i + x_j) = 0."""
-    _check_range("family3", h, k, 3, relaxed)
+    _check_range(3, h, k, relaxed)
     return _enumerate(
         gf, k, h, lambda head: 0 in head or _has_opposite_pair(gf, head),
         f"F3(h={h})")
@@ -191,16 +196,13 @@ def family3(gf: GF, k: int, h: int, relaxed: bool = False) -> DefiningSet:
 
 def family4(gf: GF, k: int, h: int, relaxed: bool = False) -> DefiningSet:
     """Points with x_1 * ... * x_h = 0."""
-    _check_range("family4", h, k, 3, relaxed)
+    _check_range(4, h, k, relaxed)
     return _enumerate(gf, k, h, lambda head: 0 in head, f"F4(h={h})")
 
 
 FAMILIES: dict[int, Callable[..., DefiningSet]] = {
     1: family1, 2: family2, 3: family3, 4: family4,
 }
-
-#: smallest h each family is proved for
-FAMILY_H_MIN = {1: 4, 2: 3, 3: 3, 4: 3}
 
 
 def is_scale_invariant(d: DefiningSet) -> bool:
@@ -242,13 +244,17 @@ def projective_functionals(gf: GF, k: int) -> Iterator[tuple[int, ...]]:
             yield (0,) * lead + (1,) + tail
 
 
-def _class_values(gf: GF, pts: np.ndarray, chunk: int = 512
+#: projective classes evaluated per block by _class_values
+_CHUNK = 512
+
+
+def _class_values(gf: GF, pts: np.ndarray
                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (functional block (b, k), values (b, n) of the block at the
     points pts (n, k)) over the projective classes of AG(k,q)."""
     reps = iter(projective_functionals(gf, pts.shape[1]))
     while True:
-        block = list(itertools.islice(reps, chunk))
+        block = list(itertools.islice(reps, _CHUNK))
         if not block:
             return
         fs = np.array(block, dtype=np.int64)  # (b, k)
@@ -260,7 +266,7 @@ def functional_values(gf: GF, fs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     (b, n) array of element indices."""
     if gf.m == 1:
         return (fs @ pts.T) % gf.p
-    # in place: a block can hold 512 x n values
+    # in place: a block can hold _CHUNK x n values
     add = gf.add_table.ravel()
     vals = np.zeros((fs.shape[0], pts.shape[0]), dtype=np.int64)
     for j in range(fs.shape[1]):

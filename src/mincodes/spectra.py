@@ -11,6 +11,7 @@ failing comparison pinpoints the responsible term.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -19,7 +20,7 @@ from . import combinat
 from .combinat import exact_div, gamma_cap, multinomial, psi
 from .code import WeightDistribution, _markdown_table, codeword, weight
 from .field import factor_prime_power
-from .pointset import DefiningSet, ParameterError
+from .pointset import FAMILY_H_MIN, DefiningSet, ParameterError
 
 
 def _check_params(name: str, q: int, k: int, h: int, h_min: int = 1) -> None:
@@ -127,7 +128,7 @@ def lambda_r_zero(q: int, k: int, h: int, s: int,
 def family1_distribution(q: int, k: int, h: int,
                          relaxed: bool = False) -> SpectrumReport:
     _check_params("family1_distribution", q, k, h,
-                  h_min=1 if relaxed else 4)
+                  h_min=1 if relaxed else FAMILY_H_MIN[1])
     n = family1_length(q, k, h)
     terms: list[tuple[int, int, str]] = []
     if k > h:
@@ -152,28 +153,24 @@ def family1_distribution(q: int, k: int, h: int,
 
 def family2_length(q: int, k: int, h: int) -> int:
     _check_params("family2_length", q, k, h)
+    # heads with no x_i + x_j = 0; in characteristic 2, x_i + x_j = 0
+    # means x_i = x_j, so these are the heads of h distinct elements
     if factor_prime_power(q)[0] == 2:
-        if h > q:
-            return q ** k - 1
-        falling = q
-        for t in range(1, h):
-            falling *= q - t
-        return q ** (k - h) * (q ** h - falling) - 1
-    return q ** (k - h) * (
-        q ** h - gamma_cap(h, q) - h * gamma_cap(h - 1, q)
-    ) - 1
+        avoid = math.perm(q, h)
+    else:
+        avoid = gamma_cap(h, q) + h * gamma_cap(h - 1, q)
+    return q ** (k - h) * (q ** h - avoid) - 1
 
 
 def family3_length(q: int, k: int, h: int) -> int:
     _check_params("family3_length", q, k, h)
+    # heads with no x_i = 0 and no x_i + x_j = 0; in characteristic 2,
+    # the heads of h distinct nonzero elements
     if factor_prime_power(q)[0] == 2:
-        if h > q + 1:
-            return q ** k - 1
-        falling = 1
-        for t in range(1, h + 1):
-            falling *= q - t
-        return q ** (k - h) * (q ** h - falling) - 1
-    return q ** (k - h) * (q ** h - gamma_cap(h, q)) - 1
+        avoid = math.perm(q - 1, h)
+    else:
+        avoid = gamma_cap(h, q)
+    return q ** (k - h) * (q ** h - avoid) - 1
 
 
 def family4_length(q: int, k: int, h: int) -> int:
@@ -183,52 +180,44 @@ def family4_length(q: int, k: int, h: int) -> int:
 
 def min_weight_applies(q: int, h: int, tilde: bool) -> bool:
     """True iff the minimum-weight proposition for families 2 and 3
-    covers these parameters: a base set (no tilde lift), h >= 3, and
-    q > 5 of odd characteristic."""
-    return not tilde and h >= 3 and q > 5 and factor_prime_power(q)[0] != 2
+    covers these parameters: a base set (no tilde lift), h in the proved
+    range of both families, and q > 5 of odd characteristic."""
+    return (not tilde and h >= max(FAMILY_H_MIN[2], FAMILY_H_MIN[3])
+            and q > 5 and factor_prime_power(q)[0] != 2)
 
 
-def _require_large_odd(name: str, q: int, h: int) -> None:
+def _check_min_weight(family: int, q: int, k: int, h: int) -> None:
+    name = f"family{family}_min_weight"
+    _check_params(name, q, k, h, h_min=FAMILY_H_MIN[family])
     if not min_weight_applies(q, h, False):
         raise ParameterError(
             f"{name} is only established for q > 5 with odd characteristic"
         )
 
 
+def _sums(k: int, h: int, r: int) -> list[tuple[int, ...]]:
+    """The forms x_i1 + ... + x_ir, i1 < ... < ir <= h, as coefficient
+    tuples of length k, in lexicographic order of the indices."""
+    return [tuple(int(t in idx) for t in range(k))
+            for idx in itertools.combinations(range(h), r)]
+
+
 def family2_min_weight(q: int, k: int, h: int
                        ) -> tuple[int, list[tuple[int, ...]]]:
     """Minimum weight n - q^(k-1) + 1, achieved exactly by the
     hyperplanes x_i + x_j = 0, 1 <= i < j <= h."""
-    _check_params("family2_min_weight", q, k, h, h_min=3)
-    _require_large_odd("family2_min_weight", q, h)
-    n = family2_length(q, k, h)
-    witnesses = []
-    for i in range(h):
-        for j in range(i + 1, h):
-            f = [0] * k
-            f[i] = f[j] = 1
-            witnesses.append(tuple(f))
-    return n - q ** (k - 1) + 1, witnesses
+    _check_min_weight(2, q, k, h)
+    return family2_length(q, k, h) - q ** (k - 1) + 1, _sums(k, h, 2)
 
 
 def family3_min_weight(q: int, k: int, h: int
                        ) -> tuple[int, list[tuple[int, ...]]]:
     """Minimum weight n - q^(k-1) + 1, achieved exactly by the
-    hyperplanes x_i + x_j = 0 and x_i = 0, indices within the first h."""
-    _check_params("family3_min_weight", q, k, h, h_min=3)
-    _require_large_odd("family3_min_weight", q, h)
-    n = family3_length(q, k, h)
-    witnesses = []
-    for i in range(h):
-        f = [0] * k
-        f[i] = 1
-        witnesses.append(tuple(f))
-    for i in range(h):
-        for j in range(i + 1, h):
-            f = [0] * k
-            f[i] = f[j] = 1
-            witnesses.append(tuple(f))
-    return n - q ** (k - 1) + 1, witnesses
+    hyperplanes x_i = 0 and then x_i + x_j = 0, indices within the
+    first h."""
+    _check_min_weight(3, q, k, h)
+    return (family3_length(q, k, h) - q ** (k - 1) + 1,
+            _sums(k, h, 1) + _sums(k, h, 2))
 
 
 # -- Family 4 ----------------------------------------------------------------
@@ -236,7 +225,7 @@ def family3_min_weight(q: int, k: int, h: int
 def family4_distribution(q: int, k: int, h: int,
                          relaxed: bool = False) -> SpectrumReport:
     _check_params("family4_distribution", q, k, h,
-                  h_min=1 if relaxed else 3)
+                  h_min=1 if relaxed else FAMILY_H_MIN[4])
     n = family4_length(q, k, h)
     terms: list[tuple[int, int, str]] = []
     if k > h:
@@ -316,14 +305,10 @@ LENGTHS = {
     4: family4_length,
 }
 
+#: the families with a closed-form weight distribution
 DISTRIBUTIONS = {
     1: family1_distribution,
     4: family4_distribution,
-}
-
-TILDE_DISTRIBUTIONS = {
-    1: family1_tilde_distribution,
-    4: family4_tilde_distribution,
 }
 
 
@@ -332,13 +317,13 @@ def closed_form_report(family: int, q: int, k: int, h: int,
                        relaxed: bool = False) -> SpectrumReport:
     """Closed-form SpectrumReport, available for families 1 and 4 (and
     their tilde lifts); raises ParameterError otherwise."""
-    table = TILDE_DISTRIBUTIONS if tilde else DISTRIBUTIONS
-    if family not in table:
+    if family not in DISTRIBUTIONS:
         raise ParameterError(
             f"no closed-form weight distribution for family {family}"
             f"{' tilde' if tilde else ''}"
         )
-    return table[family](q, k, h, relaxed=relaxed)
+    report = DISTRIBUTIONS[family](q, k, h, relaxed=relaxed)
+    return _tilde_report(report) if tilde else report
 
 
 def oracle_failure(family: int, q: int, k: int, h: int, tilde: bool,

@@ -211,3 +211,9 @@ def test_min_weight_mutation_fails_both_callers(family, monkeypatch, capsys):
     code, out, _ = run(capsys, "weights", "--family", str(family), "--q",
                        "7", "--k", "3", "--h", "3", "--method", "both")
     assert code == 1 and json.loads(out)["match"] is False
+    # verify-all counts that row's FAIL, and only it, and exits 1
+    code, out, _ = run(capsys, "verify-all", "--qs", "7",
+                       "--max-points", "343")
+    *rows, summary = out.splitlines()
+    assert code == 1 and sum(" FAIL " in row for row in rows) == 1
+    assert summary == f"{len(rows) - 1} PASS, 1 FAIL, 0 SKIP"

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from mincodes import code
+from mincodes import code, pointset
 from mincodes.code import (
     ab_check,
     class_weights,
@@ -152,13 +152,15 @@ def test_budget_exceeded_reports_cost():
         weight_distribution_bruteforce(d, budget=-1)
 
 
-def test_class_values_chunk_invariance():
+def test_class_values_chunk_invariance(monkeypatch):
     d = family4(make_field(2, 2), 3, 3)
     pts = np.array(d.points)
-    whole = np.vstack([v for _, v in _class_values(d.field, pts,
-                                                   chunk=10 ** 6)])
-    small = np.vstack([v for _, v in _class_values(d.field, pts, chunk=3)])
-    assert np.array_equal(whole, small)
+
+    def values(chunk):
+        monkeypatch.setattr(pointset, "_CHUNK", chunk)
+        return np.vstack([v for _, v in _class_values(d.field, pts)])
+
+    assert np.array_equal(values(10 ** 6), values(3))
 
 
 def test_ab_check():

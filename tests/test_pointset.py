@@ -4,9 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from mincodes import pointset
+from mincodes import cli, pointset
 from mincodes.field import field_of_order, make_field
 from mincodes.pointset import (
+    FAMILIES,
+    FAMILY_H_MIN,
     BudgetExceeded,
     DefiningSet,
     ParameterError,
@@ -89,6 +91,17 @@ def test_parameter_ranges():
     with pytest.raises(ParameterError):
         family4(gf3, 2, 3)  # h > k even relaxed
     assert len(family1(gf3, 4, 3, relaxed=True)) > 0
+    # each constructor's proved range starts at FAMILY_H_MIN
+    for family, ctor in FAMILIES.items():
+        h = FAMILY_H_MIN[family] - 1
+        with pytest.raises(ParameterError):
+            ctor(gf3, h + 1, h)
+        assert len(ctor(gf3, h + 1, h, relaxed=True)) > 0
+    # and so does each family's part of the verification sweep
+    rows = list(cli._sweep_rows([2, 3], 1000))
+    for family in FAMILIES:
+        assert min(h for f, _, _, _, h in rows
+                   if f == family) == FAMILY_H_MIN[family]
 
 
 def test_point_cap():

@@ -10,6 +10,7 @@ from mincodes.code import (
 )
 from mincodes.field import FieldError, factor_prime_power, make_field
 from mincodes.pointset import (
+    FAMILY_H_MIN,
     ParameterError,
     family1,
     family2,
@@ -66,6 +67,20 @@ def test_family2_length_char2_relaxed():
     assert len(family2(make_field(2, 2), 2, 2, relaxed=True)) == 3
     # h beyond q: no injective assignment survives, whole space
     assert family2_length(2, 3, 3) == 7
+    # every h at q in {2, 4, 8} with q^k <= 4096, across h = q, q+1, q+2,
+    # where the char-2 lengths change form
+    for p, m in ((2, 1), (2, 2), (2, 3)):
+        gf = make_field(p, m)
+        q = gf.q
+        for k in range(1, 13):
+            if q ** k > 4096:
+                break
+            for h in range(1, k + 1):
+                if h >= 2:
+                    assert family2_length(q, k, h) == len(
+                        family2(gf, k, h, relaxed=True)), (q, k, h)
+                assert family3_length(q, k, h) == len(
+                    family3(gf, k, h, relaxed=True)), (q, k, h)
 
 
 def test_lambda_formulas_match_hyperplane_sizes():
@@ -250,6 +265,13 @@ def test_report_emitters():
 def test_parameter_validation():
     with pytest.raises(ParameterError):
         family1_distribution(3, 4, 3)  # h < 4 without relaxed
+    with pytest.raises(ParameterError):
+        family4_distribution(3, 3, FAMILY_H_MIN[4] - 1)
+    assert family4_distribution(3, 3, FAMILY_H_MIN[4] - 1, relaxed=True)
+    for family, min_weight in ((2, family2_min_weight),
+                               (3, family3_min_weight)):
+        with pytest.raises(ParameterError):
+            min_weight(7, 3, FAMILY_H_MIN[family] - 1)
     with pytest.raises(ParameterError):
         family4_length(3, 2, 3)  # h > k
     with pytest.raises(ParameterError):
