@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -244,20 +245,26 @@ def projective_functionals(gf: GF, k: int) -> Iterator[tuple[int, ...]]:
             yield (0,) * lead + (1,) + tail
 
 
-#: projective classes evaluated per block by _class_values
+#: projective classes evaluated per block by _class_values and is_cutting
 _CHUNK = 512
+
+#: bits in the words that _pack_gf2 packs a point of AG(k,2) into
+_WORD_BITS = 64
+
+
+def _functional_blocks(gf: GF, k: int) -> Iterator[np.ndarray]:
+    """The projective classes of AG(k,q) as (b, k) blocks of their
+    normalized functionals, b <= _CHUNK."""
+    reps = iter(projective_functionals(gf, k))
+    while block := list(itertools.islice(reps, _CHUNK)):
+        yield np.array(block, dtype=np.int64)
 
 
 def _class_values(gf: GF, pts: np.ndarray
                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (functional block (b, k), values (b, n) of the block at the
     points pts (n, k)) over the projective classes of AG(k,q)."""
-    reps = iter(projective_functionals(gf, pts.shape[1]))
-    while True:
-        block = list(itertools.islice(reps, _CHUNK))
-        if not block:
-            return
-        fs = np.array(block, dtype=np.int64)  # (b, k)
+    for fs in _functional_blocks(gf, pts.shape[1]):
         yield fs, functional_values(gf, fs, pts)
 
 
@@ -313,6 +320,46 @@ def rank(gf: GF, rows: Iterable[Sequence[int]]) -> int:
     return int(ranks(gf, a[None])[0]) if a.size else 0
 
 
+def _pack_gf2(pts: np.ndarray) -> np.ndarray:
+    """Points (n, k) of AG(k,2) as an (n, 1) column of uint64 words with
+    x_1 as the most significant of the k bits, so that gathers and
+    zero-padding act on it as on the coordinates."""
+    k = pts.shape[1]
+    shifts = np.arange(k - 1, -1, -1, dtype=np.uint64)
+    return np.bitwise_or.reduce(pts.astype(np.uint64) << shifts, axis=1,
+                                keepdims=True)
+
+
+def _parity(words: np.ndarray, k: int) -> np.ndarray:
+    """Parity of the low k bits of each word, by XOR-folding them."""
+    width = 1 << (k - 1).bit_length()
+    while width > 1:
+        width //= 2
+        words = words ^ (words >> np.uint64(width))
+    return words & np.uint64(1)
+
+
+def _ranks_gf2(words: np.ndarray, k: int) -> np.ndarray:
+    """Rank over GF(2) of each matrix in a (C, R) stack of rows packed
+    into the low k bits of uint64 words: :func:`ranks` with one XOR per
+    row in place of k table look-ups.
+
+    Step j takes as pivot the first row of each matrix with bit j set and
+    XORs it into every row with bit j set, the pivot row included, which
+    becomes zero.  The rank is the number of steps that found a pivot.
+    """
+    a = np.array(words, dtype=np.uint64)
+    c, r = a.shape
+    found = np.zeros(c, dtype=np.int64)
+    every = np.arange(c)
+    for j in range(k if r else 0):  # argmax needs at least one row
+        has = (a & np.uint64(1 << j)) != 0
+        piv = has.argmax(axis=1)  # row 0 where no row has the bit
+        found += has[every, piv]
+        a ^= a[every, piv][:, None] * has
+    return found
+
+
 def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff D meets every hyperplane through the origin in a set that
     spans that (k-1)-dimensional hyperplane.
@@ -322,6 +369,11 @@ def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
     A class that falls short of rank k-1 there is reduced again on the
     first 4(k+8) of its points, and then, if those fall short too, on all
     of them, one class at a time, so memory stays bounded.
+
+    At q = 2 (and k < 64) each point is packed once into one word, a
+    class value is the parity of f & x, and :func:`_ranks_gf2` reduces
+    the words; elsewhere the table kernel :func:`ranks` reduces element
+    indices.  Both routes visit the classes in the same order.
     """
     gf, k = d.field, d.dim
     check_budget(gf.q, k, len(d), budget)
@@ -330,16 +382,33 @@ def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
     # hyperplane span it with probability about 1 - q^-9
     order = np.random.default_rng(0).permutation(len(d))
     pts = np.array(d.points, dtype=np.int64).reshape(len(d), k)[order]
+    if gf.q == 2 and k < _WORD_BITS:
+        # the normalized functionals are the words 1 .. 2^k - 1, in the
+        # order of projective_functionals
+        pts = _pack_gf2(pts)
+        blocks = (np.arange(lo, min(lo + _CHUNK, 2 ** k), dtype=np.uint64)
+                  for lo in range(1, 2 ** k, _CHUNK))
+
+        def values(fs, x):
+            return _parity(fs[:, None] & x.T, k)
+
+        def rank_of(stacks):
+            return _ranks_gf2(stacks[..., 0], k)
+    else:
+        blocks = _functional_blocks(gf, k)
+        values, rank_of = partial(functional_values, gf), partial(ranks, gf)
     rows = k + 8
-    for fs, vals in _class_values(gf, pts[: 2 * gf.q * rows]):
+    prefix = pts[: 2 * gf.q * rows]
+    for fs in blocks:
+        vals = values(fs, prefix)
         # each class's first `rows` points in the prefix, zero-padded
         idx = np.argsort(vals != 0, axis=1, kind="stable")[:, :rows]
         on = np.take_along_axis(vals == 0, idx, axis=1)
-        short = ranks(gf, pts[idx] * on[..., None]) < k - 1
+        short = rank_of(pts[idx] * on[..., None]) < k - 1
         for f in fs[short]:
-            plane = pts[functional_values(gf, f[None], pts)[0] == 0]
-            if ranks(gf, plane[None, : 4 * rows])[0] < k - 1 and (
+            plane = pts[values(f[None], pts)[0] == 0]
+            if rank_of(plane[None, : 4 * rows])[0] < k - 1 and (
                     len(plane) <= 4 * rows
-                    or ranks(gf, plane[None])[0] < k - 1):
+                    or rank_of(plane[None])[0] < k - 1):
                 return False
     return True

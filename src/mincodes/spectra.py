@@ -153,6 +153,8 @@ def family1_distribution(q: int, k: int, h: int,
 
 def family2_length(q: int, k: int, h: int) -> int:
     _check_params("family2_length", q, k, h)
+    if h == 1:  # no pair i < j: the product is empty, so no point is in D
+        return 0
     # heads with no x_i + x_j = 0; in characteristic 2, x_i + x_j = 0
     # means x_i = x_j, so these are the heads of h distinct elements
     if factor_prime_power(q)[0] == 2:

@@ -265,6 +265,16 @@ def test_criterion_9_cutting_equals_minimality():
     verdicts: dict = {}
     tilde_checked = set()
     instances = 0
+    # seconds spent in each check, reported on the acceptance line
+    spent = {"is_cutting": 0.0, "is_cutting tilde": 0.0,
+             "is_minimal_direct": 0.0}
+
+    def timed(name, check, *args):
+        t0 = time.perf_counter()
+        out = check(*args, budget=budget)
+        spent[name] += time.perf_counter() - t0
+        return out
+
     for family, ctor in sorted(FAMILIES.items()):
         h_min = FAMILY_H_MIN[family]
         for q in (2, 3, 4, 5, 7):
@@ -276,14 +286,15 @@ def test_criterion_9_cutting_equals_minimality():
                     instances += 1
                     key = (q, d.dim, d.points)
                     if key not in verdicts:
-                        cut = is_cutting(d, budget=budget)
-                        minimal = is_minimal_direct(d, budget=budget).minimal
+                        cut = timed("is_cutting", is_cutting, d)
+                        minimal = timed("is_minimal_direct",
+                                        is_minimal_direct, d).minimal
                         assert cut == minimal, (family, q, k, h)
                         verdicts[key] = cut
                         if cut and key not in tilde_checked:
                             t = tilde_join(d, d)
-                            assert is_cutting(t, budget=budget), \
-                                (family, q, k, h)
+                            assert timed("is_cutting tilde", is_cutting,
+                                         t), (family, q, k, h)
                             tilde_checked.add(key)
                 k += 1
     assert instances > 100
@@ -295,4 +306,6 @@ def test_criterion_9_cutting_equals_minimality():
     _announce(9, f"{instances} instances ({len(verdicts)} distinct sets): "
                  f"is_cutting == is_minimal_direct everywhere "
                  f"({non_cutting} agreed non-minimal), tilde joins of "
-                 f"cutting sets cutting, in {elapsed:.1f}s")
+                 f"cutting sets cutting, in {elapsed:.1f}s ("
+                 + ", ".join(f"{name} {t:.1f}s" for name, t in spent.items())
+                 + ")")

@@ -193,10 +193,29 @@ def test_is_cutting_matches_the_oracle_on_random_sets(q):
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("q", [2, 4, 5, 9])
-def test_ranks_match_the_oracle(q):
-    # stacks of every shape is_cutting builds, zero rows and k = 1
-    # included, with repeated, scaled and zero rows and a zero column
+def test_packed_is_cutting_matches_the_oracle_on_random_sets():
+    # the packed route up to k = 7, with sets from empty to the whole
+    # space, so that both verdicts occur at k = 6 and 7
+    gf = field_of_order(2)
+    rng = random.Random(2)
+    verdicts = set()
+    for k in range(1, 8):
+        space = [pt for pt in itertools.product(range(2), repeat=k)
+                 if any(pt)]
+        for _ in range(6):
+            size = rng.randint(0, len(space))
+            d = DefiningSet(field=gf, dim=k,
+                            points=tuple(rng.sample(space, size)))
+            verdict = is_cutting(d)
+            assert verdict == brute_is_cutting(d), d
+            verdicts.add((k, verdict))
+    assert {True, False} <= {v for k, v in verdicts if k >= 6}
+
+
+def _rank_stacks(q):
+    """(12, r, k) stacks of every shape is_cutting builds, zero rows and
+    k = 1 included, with repeated, scaled and zero rows and a zero
+    column."""
     gf = field_of_order(q)
     rng = np.random.default_rng(q)
     for k in range(1, 6):
@@ -207,8 +226,34 @@ def test_ranks_match_the_oracle(q):
                 stacks[::3, 2] = gf.mul_table[q - 1, stacks[::3, 0]]
                 stacks[1::4, 0] = 0
             stacks[::5, :, 0] = 0
-            assert pointset.ranks(gf, stacks).tolist() == [
-                brute_rank(gf, m.tolist()) for m in stacks]
+            yield stacks
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 9])
+def test_ranks_match_the_oracle(q):
+    gf = field_of_order(q)
+    for stacks in _rank_stacks(q):
+        assert pointset.ranks(gf, stacks).tolist() == [
+            brute_rank(gf, m.tolist()) for m in stacks]
+
+
+def test_ranks_gf2_match_the_oracle():
+    gf = field_of_order(2)
+    for stacks in _rank_stacks(2):
+        c, r, k = stacks.shape
+        words = pointset._pack_gf2(stacks.reshape(-1, k)).reshape(c, r)
+        assert pointset._ranks_gf2(words, k).tolist() == [
+            brute_rank(gf, m.tolist()) for m in stacks]
+    # k = 63, the widest packed route, with bit 62 (x_1) set in some rows
+    rng = np.random.default_rng(63)
+    for r in (1, 5, 40, 70):
+        stacks = rng.integers(0, 2, (6, r, 63))
+        stacks[::2, ::2, 0] = 1
+        stacks[1::2, :, 0] = 0
+        words = pointset._pack_gf2(stacks.reshape(-1, 63)).reshape(6, r)
+        assert (words[::2, 0] >> np.uint64(62)).tolist() == [1, 1, 1]
+        assert pointset._ranks_gf2(words, 63).tolist() == [
+            brute_rank(gf, m.tolist()) for m in stacks]
 
 
 def _line_plus_one(q, with_completer):
@@ -224,17 +269,19 @@ def _line_plus_one(q, with_completer):
     return DefiningSet(field=field_of_order(q), dim=3, points=tuple(pts))
 
 
-def _single_ranks(monkeypatch):
-    """Spy on pointset.ranks: the row count of each one-matrix call."""
+def _single_ranks(monkeypatch, kernel="ranks"):
+    """Spy on a rank kernel of pointset (ranks or _ranks_gf2): the row
+    count of each one-matrix call."""
     single = []
-    real = pointset.ranks
+    real = getattr(pointset, kernel)
 
-    def spy(gf, stacks):
+    def spy(*args):
+        stacks = next(a for a in args if isinstance(a, np.ndarray))
         if len(stacks) == 1:
             single.append(len(stacks[0]))
-        return real(gf, stacks)
+        return real(*args)
 
-    monkeypatch.setattr(pointset, "ranks", spy)
+    monkeypatch.setattr(pointset, kernel, spy)
     return single
 
 
@@ -263,6 +310,81 @@ def test_is_cutting_second_exact_stage(monkeypatch):
     single.clear()
     assert not is_cutting(_line_plus_one(47, with_completer=False))
     assert single == [44, 46]
+
+
+def _plane_plus_subspace(tails, with_completer):
+    """AG(9,2) points: the plane x_1 = 1 (which spans every hyperplane but
+    x_1 = 0), the points (0, 0, t) for the given tails t, which span a
+    subspace of x_1 = 0 of dimension 7, and, when asked, (0, 1, 0, ..., 0),
+    which completes the span of x_1 = 0.  The completer is placed last in
+    is_cutting's fixed scan order."""
+    pts = [(1,) + t for t in itertools.product(range(2), repeat=8)]
+    pts += [(0, 0) + t for t in tails]
+    if with_completer:
+        scan = np.random.default_rng(0).permutation(len(pts) + 1)
+        pts.insert(int(scan[-1]), (0, 1) + (0,) * 7)
+    return DefiningSet(field=field_of_order(2), dim=9, points=tuple(pts))
+
+
+def test_packed_is_cutting_exact_pass(monkeypatch):
+    # the 29 tails of weight at least 5 span GF(2)^7; the points of
+    # x_1 = 0 in the prefix fall short of rank 8, and only the exact pass
+    # over that hyperplane's 30 points finds the completer
+    tails = [t for t in itertools.product(range(2), repeat=7) if sum(t) >= 5]
+    assert brute_rank(field_of_order(2), tails) == 7
+    single = _single_ranks(monkeypatch, "_ranks_gf2")
+    assert is_cutting(_plane_plus_subspace(tails, with_completer=True))
+    assert single == [30]
+    single.clear()
+    assert not is_cutting(_plane_plus_subspace(tails, with_completer=False))
+    assert single == [29]
+
+
+def test_packed_is_cutting_second_exact_stage(monkeypatch):
+    # all 127 nonzero tails: x_1 = 0 holds 127 > 4(k + 8) = 68 points of
+    # the subspace, so the first 68 of them in scan order fall short of
+    # rank 8, and the second stage, over all of them, decides
+    tails = [t for t in itertools.product(range(2), repeat=7) if any(t)]
+    single = _single_ranks(monkeypatch, "_ranks_gf2")
+    assert is_cutting(_plane_plus_subspace(tails, with_completer=True))
+    assert single == [68, 128]
+    single.clear()
+    assert not is_cutting(_plane_plus_subspace(tails, with_completer=False))
+    assert single == [68, 127]
+
+
+@pytest.mark.parametrize("q, kernel, unused", [
+    (2, "_ranks_gf2", "ranks"), (3, "ranks", "_ranks_gf2")])
+def test_is_cutting_route(q, kernel, unused, monkeypatch):
+    # q = 2 row-reduces packed words, every other q element indices
+    def refuse(*args):
+        raise AssertionError(f"is_cutting called {unused} at q = {q}")
+
+    monkeypatch.setattr(pointset, unused, refuse)
+    calls = []
+    real = getattr(pointset, kernel)
+    monkeypatch.setattr(pointset, kernel,
+                        lambda *args: calls.append(1) or real(*args))
+    d = family4(field_of_order(q), 4, 3)
+    assert is_cutting(d) and is_cutting(tilde_join(d, d))
+    assert not is_cutting(family4(field_of_order(q), 4, 1, relaxed=True))
+    assert calls
+
+
+def test_packed_is_cutting_matches_the_table_kernel(monkeypatch):
+    # k = 10 and 11, and 11 and 12 for the tilde joins, span 2 to 8
+    # blocks of _CHUNK = 512 classes; h = 2 gives non-cutting sets
+    gf = field_of_order(2)
+    sets = []
+    for f, ctor in sorted(FAMILIES.items()):
+        for k in (10, 11):
+            for h in sorted({2, FAMILY_H_MIN[f], k}):
+                d = ctor(gf, k, h, relaxed=True)
+                sets += [d, tilde_join(d, d)]
+    packed = [is_cutting(d) for d in sets]
+    monkeypatch.setattr(pointset, "_WORD_BITS", 0)  # k >= 0: table kernel
+    assert packed == [is_cutting(d) for d in sets]
+    assert set(packed) == {True, False}
 
 
 def test_is_cutting_with_an_empty_hyperplane():

@@ -8,8 +8,14 @@ from mincodes.code import (
     weight,
     weight_distribution_bruteforce,
 )
-from mincodes.field import FieldError, factor_prime_power, make_field
+from mincodes.field import (
+    FieldError,
+    factor_prime_power,
+    field_of_order,
+    make_field,
+)
 from mincodes.pointset import (
+    FAMILIES,
     FAMILY_H_MIN,
     ParameterError,
     family1,
@@ -19,6 +25,7 @@ from mincodes.pointset import (
     tilde_join,
 )
 from mincodes.spectra import (
+    LENGTHS,
     closed_form_report,
     family1_distribution,
     family1_length,
@@ -76,11 +83,21 @@ def test_family2_length_char2_relaxed():
             if q ** k > 4096:
                 break
             for h in range(1, k + 1):
-                if h >= 2:
-                    assert family2_length(q, k, h) == len(
-                        family2(gf, k, h, relaxed=True)), (q, k, h)
+                assert family2_length(q, k, h) == len(
+                    family2(gf, k, h, relaxed=True)), (q, k, h)
                 assert family3_length(q, k, h) == len(
                     family3(gf, k, h, relaxed=True)), (q, k, h)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_lengths_count_the_relaxed_constructions(q):
+    # every h from 1, where family 2's pair product is empty and D is too
+    gf = field_of_order(q)
+    for k in range(1, 4):
+        for h in range(1, k + 1):
+            for f, length in LENGTHS.items():
+                assert length(q, k, h) == len(
+                    FAMILIES[f](gf, k, h, relaxed=True)), (f, q, k, h)
 
 
 def test_lambda_formulas_match_hyperplane_sizes():
