@@ -21,10 +21,12 @@ from .pointset import (
     DEFAULT_BUDGET,
     DefiningSet,
     ParameterError,
+    _class_codes,
     _class_values,
+    _codes,
+    _digits,
     check_budget,
     functional_count,
-    projective_functionals,
     rank,
 )
 
@@ -105,8 +107,8 @@ def _markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def _hyperplane_counts(gf: GF, pts: np.ndarray) -> np.ndarray:
-    """|D ∩ ker f| for every functional f of AG(k,q), at the base-q value
-    of f (f_1 most significant), for the points pts (n, k) of D.
+    """|D ∩ ker f| for every functional f of AG(k,q), at the code of f,
+    for the points pts (n, k) of D.
 
     The table starts as D's indicator with a trailing partial sum s = 0.
     Each step replaces the coordinate x next to s by a coefficient f,
@@ -116,7 +118,7 @@ def _hyperplane_counts(gf: GF, pts: np.ndarray) -> np.ndarray:
     q, k = gf.q, pts.shape[1]
     # counts never exceed n < q^k, and the table has q^(k+1) cells
     t = np.zeros((q ** k, q), dtype=np.int32)
-    t[pts @ q ** np.arange(k - 1, -1, -1), 0] = 1
+    t[_codes(pts, q), 0] = 1
     e = np.arange(q)
     # source[f, x, s]: the flat (x, s - f x) cell whose count lands at s
     source = e[:, None] * q + gf.add_table[
@@ -148,10 +150,9 @@ def _transform_is_cheaper(gf: GF, k: int, n: int) -> bool:
 
 
 def class_weights(d: DefiningSet, budget: int = DEFAULT_BUDGET
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The normalized functionals (c, k) of the projective classes, in
-    lexicographic order, and the codeword weight (c,) of each: the one
-    pass over the classes, refused when over budget.
+                  ) -> np.ndarray:
+    """The codeword weight (c,) of each projective class, in class order:
+    the one pass over the classes, refused when over budget.
 
     The weights come from :func:`_hyperplane_counts` when that costs less
     than evaluating every class on every point, which the budget charges.
@@ -160,18 +161,13 @@ def class_weights(d: DefiningSet, budget: int = DEFAULT_BUDGET
     check_budget(gf.q, k, n, budget)
     pts = np.array(d.points, dtype=np.int64).reshape(n, k)
     if _transform_is_cheaper(gf, k, n):
-        q = gf.q
-        # normalized functionals lead with 1: base-q values [q^m, 2 q^m)
-        idx = np.concatenate([np.arange(q ** m, 2 * q ** m)
-                              for m in range(k)])
-        funcs = idx[:, None] // q ** np.arange(k - 1, -1, -1) % q
-        return funcs, n - _hyperplane_counts(gf, pts)[idx].astype(np.int64)
-    funcs, weights = [], []
-    for fs, vals in _class_values(gf, pts):
-        funcs.append(fs)
+        codes = _class_codes(gf.q, k, np.arange(functional_count(gf.q, k)))
+        return n - _hyperplane_counts(gf, pts)[codes].astype(np.int64)
+    weights = []
+    for vals in _class_values(gf, pts):
         weights.append(np.count_nonzero(vals, axis=1))
         del vals  # freed before the next block is computed
-    return np.vstack(funcs), np.concatenate(weights)
+    return np.concatenate(weights)
 
 
 def _distribution(q: int, wts: np.ndarray) -> WeightDistribution:
@@ -187,7 +183,7 @@ def weight_distribution_bruteforce(
     d: DefiningSet, budget: int = DEFAULT_BUDGET
 ) -> WeightDistribution:
     """Exact distribution over all q^k functionals, zero word included."""
-    return _distribution(d.field.q, class_weights(d, budget)[1])
+    return _distribution(d.field.q, class_weights(d, budget))
 
 
 def ab_check(dist: WeightDistribution, q: int) -> bool:
@@ -214,10 +210,9 @@ def _translates(gf: GF, vs: np.ndarray, m: int) -> np.ndarray:
     of base-q values vs, s in GF(q), and u in GF(q)^m in base-q order."""
     q = gf.q
     out = np.tile(np.arange(q)[:, None], (len(vs), 1, 1))
-    for i in range(m - 1, -1, -1):  # most significant digit first
+    for v in _digits(vs, q, m).T:  # most significant digit first
         # digit of u + s*v, at [v, s, digit of u]
-        digit = gf.add_table[np.arange(q),
-                             gf.mul_table[:, vs // q ** i % q].T[:, :, None]]
+        digit = gf.add_table[np.arange(q), gf.mul_table[:, v].T[:, :, None]]
         out = (out[..., None] * q + digit[:, :, None, :]).reshape(
             len(vs), q, -1)
     return out
@@ -241,7 +236,7 @@ def is_minimal_direct(
     so the scan stops once b passes the best containing class.
     """
     _check_scan_budget(d, budget)
-    return _minimality(d.field, d.dim, *class_weights(d, budget))
+    return _minimality(d.field, d.dim, class_weights(d, budget))
 
 
 def _check_scan_budget(d: DefiningSet, budget: int) -> None:
@@ -254,15 +249,14 @@ def _check_scan_budget(d: DefiningSet, budget: int) -> None:
     check_budget(q, d.dim, max(len(d), -(-(c - 1) // (q + 1))), budget)
 
 
-def _minimality(gf: GF, k: int, funcs: np.ndarray, wts: np.ndarray
-                ) -> MinimalityResult:
+def _minimality(gf: GF, k: int, wts: np.ndarray) -> MinimalityResult:
     """The line scan of :func:`is_minimal_direct` over the class weights
-    wts of the functionals funcs (c, k)."""
+    wts (c,), in class order."""
     q, c = gf.q, len(wts)
     # weight -1: a line with a zero class never sums to q times its max
     wts = np.where(wts > 0, wts, -1)
-    # class index of the first vector of each lead (later leads come first)
-    first = [(q ** (k - 1 - lead) - 1) // (q - 1) for lead in range(k)]
+    # position of each lead's first class (later leads come first)
+    first = [functional_count(q, k - 1 - lead) for lead in range(k)]
     best = c * c  # heaviest * c + other, over the violating lines
     for p in range(k - 1, 0, -1):
         m = k - 1 - p
@@ -289,8 +283,8 @@ def _minimality(gf: GF, k: int, funcs: np.ndarray, wts: np.ndarray
                 best = min(best, int((heavy * c + other).min()))
     if best == c * c:
         return MinimalityResult(True)
-    return MinimalityResult(False, tuple(tuple(map(int, funcs[i]))
-                                         for i in divmod(best, c)))
+    pair = _digits(_class_codes(q, k, np.array(divmod(best, c))), q, k)
+    return MinimalityResult(False, tuple(map(tuple, pair.tolist())))
 
 
 @dataclass(frozen=True)
@@ -323,11 +317,11 @@ def summarize(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> CodeSummary:
     """[n, dim, d], the sufficient-only AB verdict and the exhaustive
     minimality verdict, both read from one pass over the classes."""
     _check_scan_budget(d, budget)
-    funcs, wts = class_weights(d, budget)
+    wts = class_weights(d, budget)
     dist = _distribution(d.field.q, wts)
     ab = ab_check(dist, d.field.q)
     dim = dimension(d)
-    res = _minimality(d.field, d.dim, funcs, wts)
+    res = _minimality(d.field, d.dim, wts)
     return CodeSummary(
         n=len(d), dim=dim, d=dist.min_weight, ab_holds=ab,
         minimal=res.minimal, witness=res.witness,

@@ -44,10 +44,10 @@ def functional_count(q: int, k: int) -> int:
 
 def check_budget(q: int, k: int, n: int, budget: int) -> None:
     """Raise BudgetExceeded when one pass over the projective classes of
-    AG(k,q) for n points, costing classes * max(n, 1), is over budget,
-    and ParameterError when the budget is negative."""
-    if budget < 0:
-        raise ParameterError(f"budget must be non-negative, got {budget}")
+    AG(k,q) for n points, costing classes * max(n, 1), is over budget, and
+    ParameterError when the budget is outside [0, 2^62), so codes fit int64."""
+    if not 0 <= budget < 2 ** 62:
+        raise ParameterError(f"budget must be in [0, 2^62), got {budget}")
     cost = functional_count(q, k) * max(n, 1)
     if cost > budget:
         raise BudgetExceeded(
@@ -68,6 +68,8 @@ class DefiningSet:
     def __post_init__(self):
         # set operations, not a per-point loop: every family build and
         # tilde join runs these checks
+        if self.dim < 1:
+            raise ParameterError(f"dimension {self.dim} is below 1")
         if set(map(len, self.points)) - {self.dim}:
             bad = next(pt for pt in self.points if len(pt) != self.dim)
             raise ParameterError(f"point {bad} has wrong length")
@@ -236,41 +238,58 @@ def tilde_join(d1: DefiningSet, d2: DefiningSet) -> DefiningSet:
                        family=tag)
 
 
-def projective_functionals(gf: GF, k: int) -> Iterator[tuple[int, ...]]:
-    """One representative per hyperplane through the origin (first
-    nonzero coefficient normalized to 1), in lexicographic order."""
-    q = gf.q
-    for lead in range(k - 1, -1, -1):
-        for tail in itertools.product(range(q), repeat=k - 1 - lead):
-            yield (0,) * lead + (1,) + tail
+def _codes(rows: np.ndarray, q: int) -> np.ndarray:
+    """Base-q values, x_1 most significant, of rows (..., k) of element
+    indices: the one integer code of points and functionals."""
+    return rows @ q ** np.arange(rows.shape[-1] - 1, -1, -1)
 
 
-#: projective classes evaluated per block by _class_values and is_cutting
+def _digits(codes: np.ndarray, q: int, k: int) -> np.ndarray:
+    """The rows (..., k) of element indices whose :func:`_codes` are codes."""
+    return codes[..., None] // q ** np.arange(k - 1, -1, -1) % q
+
+
+def _class_codes(q: int, k: int, positions: np.ndarray) -> np.ndarray:
+    """Codes of the classes of AG(k,q) at positions in class order.  The
+    normalized functionals (first nonzero coefficient 1) with m entries
+    after the 1 are the codes [q^m, 2 q^m), so class order is code order,
+    and they follow the (q^m - 1)/(q - 1) classes with fewer entries."""
+    starts = np.array([functional_count(q, m) for m in range(k)])
+    m = np.searchsorted(starts, positions, side="right") - 1
+    return positions - starts[m] + q ** m
+
+
+#: projective classes per block of _class_blocks
 _CHUNK = 512
 
-#: bits in the words that _pack_gf2 packs a point of AG(k,2) into
+#: bits in an int64 code of a point of AG(k,2), the packed route's word
 _WORD_BITS = 64
 
 
-def _functional_blocks(gf: GF, k: int) -> Iterator[np.ndarray]:
-    """The projective classes of AG(k,q) as (b, k) blocks of their
-    normalized functionals, b <= _CHUNK."""
-    reps = iter(projective_functionals(gf, k))
-    while block := list(itertools.islice(reps, _CHUNK)):
-        yield np.array(block, dtype=np.int64)
+def _class_blocks(q: int, k: int) -> Iterator[np.ndarray]:
+    """Class codes of AG(k,q) in blocks of _CHUNK, each built when asked."""
+    c = functional_count(q, k)
+    for lo in range(0, c, _CHUNK):
+        yield _class_codes(q, k, np.arange(lo, min(lo + _CHUNK, c)))
 
 
-def _class_values(gf: GF, pts: np.ndarray
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (functional block (b, k), values (b, n) of the block at the
-    points pts (n, k)) over the projective classes of AG(k,q)."""
-    for fs in _functional_blocks(gf, pts.shape[1]):
-        yield fs, functional_values(gf, fs, pts)
+def projective_functionals(gf: GF, k: int) -> Iterator[tuple[int, ...]]:
+    """One representative per hyperplane through the origin (first
+    nonzero coefficient normalized to 1), in lexicographic order."""
+    for codes in _class_blocks(gf.q, k):
+        yield from map(tuple, _digits(codes, gf.q, k).tolist())
+
+
+def _class_values(gf: GF, pts: np.ndarray) -> Iterator[np.ndarray]:
+    """The values (b, n) at the points pts (n, k) of each class block."""
+    for codes in _class_blocks(gf.q, pts.shape[1]):
+        yield functional_values(gf, codes, pts)
 
 
 def functional_values(gf: GF, fs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Values of the linear forms fs (b, k) at the points pts (n, k), as a
-    (b, n) array of element indices."""
+    """Values of the linear forms of codes fs (b,) at the points pts (n, k),
+    as a (b, n) array of element indices."""
+    fs = _digits(fs, gf.q, pts.shape[1])
     if gf.m == 1:
         return (fs @ pts.T) % gf.p
     # in place: a block can hold _CHUNK x n values
@@ -320,40 +339,30 @@ def rank(gf: GF, rows: Iterable[Sequence[int]]) -> int:
     return int(ranks(gf, a[None])[0]) if a.size else 0
 
 
-def _pack_gf2(pts: np.ndarray) -> np.ndarray:
-    """Points (n, k) of AG(k,2) as an (n, 1) column of uint64 words with
-    x_1 as the most significant of the k bits, so that gathers and
-    zero-padding act on it as on the coordinates."""
-    k = pts.shape[1]
-    shifts = np.arange(k - 1, -1, -1, dtype=np.uint64)
-    return np.bitwise_or.reduce(pts.astype(np.uint64) << shifts, axis=1,
-                                keepdims=True)
-
-
 def _parity(words: np.ndarray, k: int) -> np.ndarray:
     """Parity of the low k bits of each word, by XOR-folding them."""
     width = 1 << (k - 1).bit_length()
     while width > 1:
         width //= 2
-        words = words ^ (words >> np.uint64(width))
-    return words & np.uint64(1)
+        words = words ^ (words >> width)
+    return words & 1
 
 
 def _ranks_gf2(words: np.ndarray, k: int) -> np.ndarray:
     """Rank over GF(2) of each matrix in a (C, R) stack of rows packed
-    into the low k bits of uint64 words: :func:`ranks` with one XOR per
-    row in place of k table look-ups.
+    into the low k bits of words, their :func:`_codes`: :func:`ranks`
+    with one XOR per row in place of k table look-ups.
 
     Step j takes as pivot the first row of each matrix with bit j set and
     XORs it into every row with bit j set, the pivot row included, which
     becomes zero.  The rank is the number of steps that found a pivot.
     """
-    a = np.array(words, dtype=np.uint64)
+    a = np.array(words, dtype=np.int64)
     c, r = a.shape
     found = np.zeros(c, dtype=np.int64)
     every = np.arange(c)
     for j in range(k if r else 0):  # argmax needs at least one row
-        has = (a & np.uint64(1 << j)) != 0
+        has = (a & (1 << j)) != 0
         piv = has.argmax(axis=1)  # row 0 where no row has the bit
         found += has[every, piv]
         a ^= a[every, piv][:, None] * has
@@ -370,10 +379,10 @@ def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
     first 4(k+8) of its points, and then, if those fall short too, on all
     of them, one class at a time, so memory stays bounded.
 
-    At q = 2 (and k < 64) each point is packed once into one word, a
-    class value is the parity of f & x, and :func:`_ranks_gf2` reduces
-    the words; elsewhere the table kernel :func:`ranks` reduces element
-    indices.  Both routes visit the classes in the same order.
+    Both routes visit the same blocks of class codes.  At q = 2 (and
+    k < 64) a code is the packed word, a class value the parity of f & x,
+    and :func:`_ranks_gf2` reduces the words; elsewhere the table kernel
+    :func:`ranks` reduces element indices.
     """
     gf, k = d.field, d.dim
     check_budget(gf.q, k, len(d), budget)
@@ -383,11 +392,8 @@ def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
     order = np.random.default_rng(0).permutation(len(d))
     pts = np.array(d.points, dtype=np.int64).reshape(len(d), k)[order]
     if gf.q == 2 and k < _WORD_BITS:
-        # the normalized functionals are the words 1 .. 2^k - 1, in the
-        # order of projective_functionals
-        pts = _pack_gf2(pts)
-        blocks = (np.arange(lo, min(lo + _CHUNK, 2 ** k), dtype=np.uint64)
-                  for lo in range(1, 2 ** k, _CHUNK))
+        # an (n, 1) column: gathers and zero-padding act as on coordinates
+        pts = _codes(pts, 2)[:, None]
 
         def values(fs, x):
             return _parity(fs[:, None] & x.T, k)
@@ -395,11 +401,10 @@ def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
         def rank_of(stacks):
             return _ranks_gf2(stacks[..., 0], k)
     else:
-        blocks = _functional_blocks(gf, k)
         values, rank_of = partial(functional_values, gf), partial(ranks, gf)
     rows = k + 8
     prefix = pts[: 2 * gf.q * rows]
-    for fs in blocks:
+    for fs in _class_blocks(gf.q, k):
         vals = values(fs, prefix)
         # each class's first `rows` points in the prefix, zero-padded
         idx = np.argsort(vals != 0, axis=1, kind="stable")[:, :rows]

@@ -175,7 +175,9 @@ def test_verify_one_family2_witness_check():
     (("weights", "--family", "4", "--q", "3", "--k", "3", "--h", "3"), "abc"),
     (("weights", "--family", "4", "--q", "3", "--k", "3", "--h", "3",
       "--budget", "-5"), None),
-], ids=["qs-not-integer", "budget-env-not-integer", "negative-budget"])
+    (("verify-all", "--qs", "3", "--budget", str(2 ** 62)), None),
+], ids=["qs-not-integer", "budget-env-not-integer", "negative-budget",
+        "budget-past-2^62"])
 def test_bad_input_exits_2_with_one_line(argv, env, monkeypatch, capsys):
     if env is None:
         monkeypatch.delenv(cli.BUDGET_ENV, raising=False)

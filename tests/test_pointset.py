@@ -240,8 +240,8 @@ def test_ranks_match_the_oracle(q):
 def test_ranks_gf2_match_the_oracle():
     gf = field_of_order(2)
     for stacks in _rank_stacks(2):
-        c, r, k = stacks.shape
-        words = pointset._pack_gf2(stacks.reshape(-1, k)).reshape(c, r)
+        k = stacks.shape[2]
+        words = pointset._codes(stacks, 2)
         assert pointset._ranks_gf2(words, k).tolist() == [
             brute_rank(gf, m.tolist()) for m in stacks]
     # k = 63, the widest packed route, with bit 62 (x_1) set in some rows
@@ -250,8 +250,8 @@ def test_ranks_gf2_match_the_oracle():
         stacks = rng.integers(0, 2, (6, r, 63))
         stacks[::2, ::2, 0] = 1
         stacks[1::2, :, 0] = 0
-        words = pointset._pack_gf2(stacks.reshape(-1, 63)).reshape(6, r)
-        assert (words[::2, 0] >> np.uint64(62)).tolist() == [1, 1, 1]
+        words = pointset._codes(stacks, 2)
+        assert (words[::2, 0] >> 62).tolist() == [1, 1, 1]
         assert pointset._ranks_gf2(words, 63).tolist() == [
             brute_rank(gf, m.tolist()) for m in stacks]
 
@@ -371,6 +371,25 @@ def test_is_cutting_route(q, kernel, unused, monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("q, k", [(2, 20), (3, 12)])
+def test_is_cutting_builds_class_blocks_lazily(q, k, monkeypatch):
+    # 5 unit vectors span too little of the first class's hyperplane, so
+    # is_cutting stops after its first block; at these k a build that
+    # materializes every class code allocates megabytes, not gigabytes
+    asked = []
+    real = pointset._class_codes
+
+    def spy(q, k, positions):
+        asked.append(len(positions))
+        return real(q, k, positions)
+
+    monkeypatch.setattr(pointset, "_class_codes", spy)
+    units = tuple(tuple(int(i == j) for i in range(k)) for j in range(5))
+    d = DefiningSet(field=field_of_order(q), dim=k, points=units)
+    assert not is_cutting(d, budget=10 ** 12)
+    assert asked == [pointset._CHUNK]
+
+
 def test_packed_is_cutting_matches_the_table_kernel(monkeypatch):
     # k = 10 and 11, and 11 and 12 for the tilde joins, span 2 to 8
     # blocks of _CHUNK = 512 classes; h = 2 gives non-cutting sets
@@ -409,6 +428,14 @@ def test_is_cutting_budget():
     assert exc.value.required == 13 * len(d)
     with pytest.raises(ParameterError):
         is_cutting(d, budget=-1)
+    # past 2^62 a class code could overflow int64: at q = 2, k = 64 the
+    # first class's digits would read (1, 0, ..., 0, 1)
+    units = tuple(tuple(int(i == j) for i in range(64)) for j in range(5))
+    wide = DefiningSet(field=field_of_order(2), dim=64, points=units)
+    with pytest.raises(ParameterError):
+        is_cutting(wide, budget=2 ** 62)
+    with pytest.raises(BudgetExceeded):
+        is_cutting(wide, budget=2 ** 62 - 1)
 
 
 def test_coordinates_outside_the_field_rejected():
@@ -449,8 +476,10 @@ def test_from_text_rejects_a_point_count_mismatch():
     "3 2\n0 1\n",
     "3 2 1 0\n0 1\n",
     "three 2 1\n0 1\n",
+    "2 0 0\n",
+    "3 -1 0\n",
 ], ids=["non-integer-token", "empty", "blank", "short-header",
-        "long-header", "non-integer-header"])
+        "long-header", "non-integer-header", "zero-dim", "negative-dim"])
 def test_from_text_rejects_malformed_text(text):
     with pytest.raises(ParameterError):
         DefiningSet.from_text(text)
