@@ -3,10 +3,13 @@
 Weights and supports are class invariants (scalar multiples of a
 functional permute nothing and rescale every entry), so the oracle finds
 the weight of one functional per projective class and multiplies counts
-by q-1.  It evaluates each class on every point of D, or reads n minus
-the number of points on its hyperplane from one exact count over all
-functionals, whichever is cheaper.  Minimality is decided from the same
-class weights.
+by q-1.  Whether f.x = 0 depends only on the projective point of x too,
+so D is first reduced to its distinct projective points, each with its
+multiplicity (q-1 for every point of a family set, which is a cone).
+The oracle evaluates each class on every distinct projective point and
+adds the multiplicities of those off its hyperplane, or reads n minus
+the points on its hyperplane from one exact count over all functionals,
+whichever is cheaper.  Minimality is decided from the same class weights.
 """
 
 from __future__ import annotations
@@ -106,19 +109,34 @@ def _markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _hyperplane_counts(gf: GF, pts: np.ndarray) -> np.ndarray:
-    """|D ∩ ker f| for every functional f of AG(k,q), at the code of f,
-    for the points pts (n, k) of D.
+def _projective_points(gf: GF, pts: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct projective points (r, k) among the points pts (n, k),
+    normalized (first nonzero entry 1), and their multiplicities (r,),
+    in increasing order of multiplicity."""
+    if gf.q == 2:  # every nonzero point is its own projective point
+        return pts, np.ones(len(pts), dtype=np.int64)
+    lead = pts[np.arange(len(pts)), (pts != 0).argmax(axis=1)]
+    normal = gf.mul_table[gf.inv_table[lead][:, None], pts]
+    codes, mult = np.unique(_codes(normal, gf.q), return_counts=True)
+    order = np.argsort(mult, kind="stable")
+    return _digits(codes[order], gf.q, pts.shape[1]), mult[order]
 
-    The table starts as D's indicator with a trailing partial sum s = 0.
-    Each step replaces the coordinate x next to s by a coefficient f,
-    moving the count at (x, s) to (f, s + f x), and puts f in front, so
-    after k steps the axes are (f_1, ..., f_k, s) and s = f.x.
+
+def _hyperplane_counts(gf: GF, pts: np.ndarray, mult: np.ndarray
+                       ) -> np.ndarray:
+    """|D ∩ ker f| for every functional f of AG(k,q), at the code of f,
+    for D given by distinct points pts (n, k) of multiplicities mult (n,).
+
+    The table starts as D's multiplicities with a trailing partial sum
+    s = 0.  Each step replaces the coordinate x next to s by a coefficient
+    f, moving the count at (x, s) to (f, s + f x), and puts f in front,
+    so after k steps the axes are (f_1, ..., f_k, s) and s = f.x.
     """
     q, k = gf.q, pts.shape[1]
-    # counts never exceed n < q^k, and the table has q^(k+1) cells
+    # counts never exceed |D| < q^k, and the table has q^(k+1) cells
     t = np.zeros((q ** k, q), dtype=np.int32)
-    t[_codes(pts, q), 0] = 1
+    t[_codes(pts, q), 0] = mult
     e = np.arange(q)
     # source[f, x, s]: the flat (x, s - f x) cell whose count lands at s
     source = e[:, None] * q + gf.add_table[
@@ -134,7 +152,7 @@ def _hyperplane_counts(gf: GF, pts: np.ndarray) -> np.ndarray:
 
 def _transform_is_cheaper(gf: GF, k: int, n: int) -> bool:
     """Whether :func:`_hyperplane_counts` takes less time than
-    enumerating the classes on the points of D.
+    enumerating the classes on the n distinct projective points of D.
 
     Both costs are in gathered cells of the transform, about 3 ns each.
     A step gathers q^(k+2) cells and pays about 32 more per row of q^2
@@ -154,18 +172,28 @@ def class_weights(d: DefiningSet, budget: int = DEFAULT_BUDGET
     """The codeword weight (c,) of each projective class, in class order:
     the one pass over the classes, refused when over budget.
 
-    The weights come from :func:`_hyperplane_counts` when that costs less
-    than evaluating every class on every point, which the budget charges.
+    Both routes run over the r distinct projective points of D, with
+    their multiplicities.  The weights come from
+    :func:`_hyperplane_counts` when that costs less than evaluating every
+    class on each of the r points.  The budget charges classes times
+    n = len(D), at least r, so it bounds that evaluation.
     """
     gf, k, n = d.field, d.dim, len(d)
     check_budget(gf.q, k, n, budget)
-    pts = np.array(d.points, dtype=np.int64).reshape(n, k)
-    if _transform_is_cheaper(gf, k, n):
+    pts, mult = _projective_points(
+        gf, np.array(d.points, dtype=np.int64).reshape(n, k))
+    if _transform_is_cheaper(gf, k, len(pts)):
         codes = _class_codes(gf.q, k, np.arange(functional_count(gf.q, k)))
-        return n - _hyperplane_counts(gf, pts)[codes].astype(np.int64)
+        return n - _hyperplane_counts(gf, pts, mult)[codes].astype(np.int64)
+    # one group of points per multiplicity: at most q-1, one for a cone
+    levels, starts = np.unique(mult, return_index=True)
+    ends = np.append(starts[1:], len(pts))
     weights = []
     for vals in _class_values(gf, pts):
-        weights.append(np.count_nonzero(vals, axis=1))
+        w = np.zeros(len(vals), dtype=np.int64)
+        for m, lo, hi in zip(levels, starts, ends):
+            w += m * np.count_nonzero(vals[:, lo:hi], axis=1)
+        weights.append(w)
         del vals  # freed before the next block is computed
     return np.concatenate(weights)
 

@@ -262,9 +262,6 @@ def _class_codes(q: int, k: int, positions: np.ndarray) -> np.ndarray:
 #: projective classes per block of _class_blocks
 _CHUNK = 512
 
-#: bits in an int64 code of a point of AG(k,2), the packed route's word
-_WORD_BITS = 64
-
 
 def _class_blocks(q: int, k: int) -> Iterator[np.ndarray]:
     """Class codes of AG(k,q) in blocks of _CHUNK, each built when asked."""
@@ -369,6 +366,25 @@ def _ranks_gf2(words: np.ndarray, k: int) -> np.ndarray:
     return found
 
 
+def _kernel(gf: GF, k: int, pts: np.ndarray):
+    """The rows, value function and rank function of :func:`is_cutting`
+    for the points pts (n, k).  At q = 2 a code is the packed word (k is
+    at most 61 under :func:`check_budget`), a class value the parity of
+    f & x, and :func:`_ranks_gf2` reduces the words; elsewhere the table
+    kernel :func:`ranks` reduces element indices."""
+    if gf.q != 2:
+        return pts, partial(functional_values, gf), partial(ranks, gf)
+
+    def values(fs, x):
+        return _parity(fs[:, None] & x.T, k)
+
+    def rank_of(stacks):
+        return _ranks_gf2(stacks[..., 0], k)
+
+    # an (n, 1) column: gathers and zero-padding act as on coordinates
+    return _codes(pts, 2)[:, None], values, rank_of
+
+
 def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff D meets every hyperplane through the origin in a set that
     spans that (k-1)-dimensional hyperplane.
@@ -379,10 +395,8 @@ def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
     first 4(k+8) of its points, and then, if those fall short too, on all
     of them, one class at a time, so memory stays bounded.
 
-    Both routes visit the same blocks of class codes.  At q = 2 (and
-    k < 64) a code is the packed word, a class value the parity of f & x,
-    and :func:`_ranks_gf2` reduces the words; elsewhere the table kernel
-    :func:`ranks` reduces element indices.
+    Both routes visit the same blocks of class codes; :func:`_kernel`
+    picks the route.
     """
     gf, k = d.field, d.dim
     check_budget(gf.q, k, len(d), budget)
@@ -390,18 +404,8 @@ def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
     # (lex order crowds them onto a few), and k+8 random points of a
     # hyperplane span it with probability about 1 - q^-9
     order = np.random.default_rng(0).permutation(len(d))
-    pts = np.array(d.points, dtype=np.int64).reshape(len(d), k)[order]
-    if gf.q == 2 and k < _WORD_BITS:
-        # an (n, 1) column: gathers and zero-padding act as on coordinates
-        pts = _codes(pts, 2)[:, None]
-
-        def values(fs, x):
-            return _parity(fs[:, None] & x.T, k)
-
-        def rank_of(stacks):
-            return _ranks_gf2(stacks[..., 0], k)
-    else:
-        values, rank_of = partial(functional_values, gf), partial(ranks, gf)
+    pts, values, rank_of = _kernel(
+        gf, k, np.array(d.points, dtype=np.int64).reshape(len(d), k)[order])
     rows = k + 8
     prefix = pts[: 2 * gf.q * rows]
     for fs in _class_blocks(gf.q, k):

@@ -27,6 +27,7 @@ from mincodes.pointset import (
     _digits,
     family1,
     family2,
+    family3,
     family4,
     is_cutting,
     projective_functionals,
@@ -269,6 +270,37 @@ def test_weight_routes_agree_on_random_sets(q, monkeypatch):
     assert kinds == {"empty", "dim < k", "near-full"}
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_weights_with_mixed_multiplicities(q, monkeypatch):
+    # partial scalar orbits: the i-th projective point, in a seeded
+    # order, keeps i mod q of its q-1 multiples, so multiplicities 1 to
+    # q-1 all occur in one set
+    gf = field_of_order(q)
+    rng = random.Random(300 + q)
+    normal = [f for f in itertools.product(range(q), repeat=3)
+              if any(f) and next(x for x in f if x) == 1]
+    rng.shuffle(normal)
+    pts, want = [], {}
+    for i, pt in enumerate(normal):
+        scalars = rng.sample(range(1, q), i % q)
+        pts += [tuple(gf.mul(a, x) for x in pt) for a in scalars]
+        if scalars:
+            want[pt] = len(scalars)
+    mixed = DefiningSet(field=gf, dim=3,
+                        points=tuple(rng.sample(pts, len(pts))))
+    reps, mult = code._projective_points(gf, np.array(mixed.points))
+    assert dict(zip(map(tuple, reps.tolist()), mult.tolist())) == want
+    assert set(want.values()) == set(range(1, q))
+    assert mult.tolist() == sorted(mult.tolist())
+    empty = DefiningSet(field=gf, dim=3, points=())
+    for d in (mixed, empty, family4(gf, 3, 3)):
+        brute = brute_weight_distribution(d)
+        for transform in (True, False):
+            monkeypatch.setattr(code, "_transform_is_cheaper",
+                                lambda *args: transform)
+            assert code._distribution(q, class_weights(d)).counts() == brute
+
+
 def test_class_weights_picks_the_cheaper_route(monkeypatch):
     class Chosen(Exception):
         pass
@@ -278,15 +310,47 @@ def test_class_weights_picks_the_cheaper_route(monkeypatch):
             raise Chosen(route)
         return spy
 
-    monkeypatch.setattr(code, "_hyperplane_counts", stop("transform"))
-    monkeypatch.setattr(code, "_class_values", stop("enumeration"))
-    # few classes and many points: the transform's q^(k+2) cells make it
-    # 3 to 10 times slower than enumerating on these large_q sets
-    for q in (32, 49, 53):
+    with monkeypatch.context() as patch:
+        patch.setattr(code, "_hyperplane_counts", stop("transform"))
+        patch.setattr(code, "_class_values", stop("enumeration"))
+        # few classes and many points: the transform's q^(k+2) cells make
+        # it 3 to 10 times slower than enumerating on these large_q sets
+        for q in (32, 49, 53):
+            with pytest.raises(Chosen, match="enumeration"):
+                class_weights(family4(field_of_order(q), 3, 3))
+        with pytest.raises(Chosen, match="transform"):
+            class_weights(family4(field_of_order(2), 10, 3))
+        # 11,244 points would take the transform, their 937 projective
+        # points the enumeration
+        d = family3(field_of_order(13), 4, 3)
+        assert len(d) == 11244
+        assert code._transform_is_cheaper(d.field, 4, len(d))
         with pytest.raises(Chosen, match="enumeration"):
-            class_weights(family4(field_of_order(q), 3, 3))
-    with pytest.raises(Chosen, match="transform"):
-        class_weights(family4(field_of_order(2), 10, 3))
+            class_weights(d)
+
+    # the enumeration evaluates each class on the distinct projective
+    # points only, and the budget's classes * n bounds the cells it does
+    cells = []
+    real = pointset.functional_values
+
+    def spy(gf, fs, pts):
+        cells.append((len(fs), len(pts)))
+        return real(gf, fs, pts)
+
+    monkeypatch.setattr(pointset, "functional_values", spy)
+    d = family4(field_of_order(49), 3, 3)
+    assert len(d) == 7056
+    class_weights(d)
+    assert {n for _, n in cells} == {147}
+    for q, k, h, ctor in ((49, 3, 3, family4), (53, 3, 3, family4),
+                          (32, 3, 3, family4),
+                          (13, 4, 3, family3), (11, 4, 3, family2),
+                          (2, 4, 4, family1)):
+        d = ctor(field_of_order(q), k, h)
+        cells.clear()
+        class_weights(d)
+        assert cells
+        assert sum(c * n for c, n in cells) <= functional_count(q, k) * len(d)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

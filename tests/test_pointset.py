@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -401,7 +402,12 @@ def test_packed_is_cutting_matches_the_table_kernel(monkeypatch):
                 d = ctor(gf, k, h, relaxed=True)
                 sets += [d, tilde_join(d, d)]
     packed = [is_cutting(d) for d in sets]
-    monkeypatch.setattr(pointset, "_WORD_BITS", 0)  # k >= 0: table kernel
+
+    def table(gf, k, pts):  # the q > 2 choice, at q = 2
+        return (pts, partial(pointset.functional_values, gf),
+                partial(pointset.ranks, gf))
+
+    monkeypatch.setattr(pointset, "_kernel", table)
     assert packed == [is_cutting(d) for d in sets]
     assert set(packed) == {True, False}
 
