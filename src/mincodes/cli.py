@@ -159,8 +159,8 @@ def verify_one(family: int, q: int, k: int, h: int, tilde: bool,
         return "SKIP", f"cost {exc.required} over budget {budget}"
     cache = _cache if _cache is not None else {}
     d = build_defining_set(family, q, k, h, tilde=tilde)
-    okey = ("dist", q, d.dim, d.points)
-    # one lookup: hashing the key hashes every point of D
+    okey = ("dist", q, d.dim, d.codes.tobytes())
+    # one lookup: hashing the key hashes every code of D
     oracle = cache.get(okey)
     if oracle is None:
         oracle = cache[okey] = weight_distribution_bruteforce(d, budget=budget)

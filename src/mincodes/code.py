@@ -26,11 +26,11 @@ from .pointset import (
     ParameterError,
     _class_codes,
     _class_values,
-    _codes,
     _digits,
+    _projective_points,
     check_budget,
     functional_count,
-    rank,
+    ranks,
 )
 
 
@@ -41,6 +41,8 @@ def codeword(d: DefiningSet, f: Sequence[int]) -> tuple[int, ...]:
             f"functional has length {len(f)}, ambient dimension is {d.dim}"
         )
     gf = d.field
+    if not all(0 <= c < gf.q for c in f):
+        raise ParameterError(f"functional {tuple(f)} is outside [0, {gf.q})")
     return tuple(gf.dot(f, pt) for pt in d.points)
 
 
@@ -50,7 +52,7 @@ def weight(values: Sequence[int]) -> int:
 
 def dimension(d: DefiningSet) -> int:
     """Rank over GF(q) of the matrix whose columns are the points of D."""
-    return rank(d.field, d.points)
+    return int(ranks(d.field, _digits(d.codes, d.field.q, d.dim)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -109,34 +111,21 @@ def _markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _projective_points(gf: GF, pts: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct projective points (r, k) among the points pts (n, k),
-    normalized (first nonzero entry 1), and their multiplicities (r,),
-    in increasing order of multiplicity."""
-    if gf.q == 2:  # every nonzero point is its own projective point
-        return pts, np.ones(len(pts), dtype=np.int64)
-    lead = pts[np.arange(len(pts)), (pts != 0).argmax(axis=1)]
-    normal = gf.mul_table[gf.inv_table[lead][:, None], pts]
-    codes, mult = np.unique(_codes(normal, gf.q), return_counts=True)
-    order = np.argsort(mult, kind="stable")
-    return _digits(codes[order], gf.q, pts.shape[1]), mult[order]
-
-
-def _hyperplane_counts(gf: GF, pts: np.ndarray, mult: np.ndarray
+def _hyperplane_counts(gf: GF, k: int, codes: np.ndarray, mult: np.ndarray
                        ) -> np.ndarray:
     """|D ∩ ker f| for every functional f of AG(k,q), at the code of f,
-    for D given by distinct points pts (n, k) of multiplicities mult (n,).
+    for D given by the codes (n,) of distinct points, of multiplicities
+    mult (n,).
 
     The table starts as D's multiplicities with a trailing partial sum
     s = 0.  Each step replaces the coordinate x next to s by a coefficient
     f, moving the count at (x, s) to (f, s + f x), and puts f in front,
     so after k steps the axes are (f_1, ..., f_k, s) and s = f.x.
     """
-    q, k = gf.q, pts.shape[1]
+    q = gf.q
     # counts never exceed |D| < q^k, and the table has q^(k+1) cells
     t = np.zeros((q ** k, q), dtype=np.int32)
-    t[_codes(pts, q), 0] = mult
+    t[codes, 0] = mult
     e = np.arange(q)
     # source[f, x, s]: the flat (x, s - f x) cell whose count lands at s
     source = e[:, None] * q + gf.add_table[
@@ -180,11 +169,12 @@ def class_weights(d: DefiningSet, budget: int = DEFAULT_BUDGET
     """
     gf, k, n = d.field, d.dim, len(d)
     check_budget(gf.q, k, n, budget)
-    pts, mult = _projective_points(
-        gf, np.array(d.points, dtype=np.int64).reshape(n, k))
-    if _transform_is_cheaper(gf, k, len(pts)):
-        codes = _class_codes(gf.q, k, np.arange(functional_count(gf.q, k)))
-        return n - _hyperplane_counts(gf, pts, mult)[codes].astype(np.int64)
+    codes, mult = _projective_points(d)
+    if _transform_is_cheaper(gf, k, len(codes)):
+        classes = _class_codes(gf.q, k, np.arange(functional_count(gf.q, k)))
+        return n - _hyperplane_counts(gf, k, codes, mult)[classes].astype(
+            np.int64)
+    pts = _digits(codes, gf.q, k)
     # one group of points per multiplicity: at most q-1, one for a cone
     levels, starts = np.unique(mult, return_index=True)
     ends = np.append(starts[1:], len(pts))

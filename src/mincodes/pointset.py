@@ -1,17 +1,18 @@
 """Defining sets in AG(k,q): the four families, the tilde join, and the
 scale-invariance / cutting predicates.
 
-Points are tuples of element indices.  Family constructors emit points
-in canonical lexicographic order so every downstream artifact (codeword
-layout, serialized files, fixtures) is bit-stable.
+Points are held as base-q codes (:func:`_codes`, x_1 most significant), so
+code order is lexicographic order.  Family constructors emit points in it,
+so every downstream artifact (codeword layout, serialized files,
+fixtures) is bit-stable.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from functools import cached_property, partial, reduce
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -56,57 +57,67 @@ def check_budget(q: int, k: int, n: int, budget: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefiningSet:
-    """A set of distinct nonzero points of AG(k,q), in a fixed order."""
+    """A set of distinct nonzero points of AG(k,q), in a fixed order, held
+    as the read-only int64 array of their :func:`_codes`."""
 
     field: GF
     dim: int
-    points: tuple[tuple[int, ...], ...]
+    codes: np.ndarray
     family: Optional[str] = None
 
     def __post_init__(self):
-        # set operations, not a per-point loop: every family build and
-        # tilde join runs these checks
-        if self.dim < 1:
-            raise ParameterError(f"dimension {self.dim} is below 1")
-        if set(map(len, self.points)) - {self.dim}:
-            bad = next(pt for pt in self.points if len(pt) != self.dim)
-            raise ParameterError(f"point {bad} has wrong length")
-        distinct = set(self.points)
-        if (0,) * self.dim in distinct:
-            raise ParameterError("defining sets exclude the origin")
-        elements = set(range(self.field.q))
-        if not elements.issuperset(itertools.chain.from_iterable(distinct)):
-            bad = min(set(itertools.chain.from_iterable(distinct)) - elements)
-            raise ParameterError(
-                f"coordinate {bad} is not an element of GF({self.field.q})")
-        if len(distinct) != len(self.points):
+        q, k = self.field.q, self.dim
+        if not 1 <= k <= 62 or q ** k > 2 ** 62:  # codes must fit int64
+            raise ParameterError(f"AG({k},{q}) needs k >= 1 and q^k <= 2^62")
+        codes = np.array(self.codes, dtype=np.int64)
+        # code 0 is the origin, which defining sets exclude
+        if codes.ndim != 1 or ((codes < 1) | (codes >= q ** k)).any():
+            raise ParameterError(f"codes must be a flat list in [1, {q}^{k})")
+        if not np.diff(np.sort(codes)).all():  # np.unique imports numpy.ma
             raise ParameterError("duplicate points in defining set")
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, DefiningSet) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.field, self.dim, self.codes.tobytes(), self.family
+
+    @cached_property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        """The points as tuples of element indices, in D's order (zipped
+        from columns, so no list of lists is alive next to the tuples)."""
+        return tuple(zip(*_digits(self.codes, self.field.q, self.dim).T
+                         .tolist()))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.codes)
 
     def __repr__(self) -> str:
         tag = f", family={self.family}" if self.family else ""
-        return (
-            f"DefiningSet(q={self.field.q}, k={self.dim}, "
-            f"n={len(self.points)}{tag})"
-        )
+        return (f"DefiningSet(q={self.field.q}, k={self.dim}, "
+                f"n={len(self)}{tag})")
 
     # -- text serialization (header "q k n", one point per line) -----------
 
     def to_text(self) -> str:
         """The header "q k n" and one point per line.  The family tag is
         not written, so :meth:`from_text` gives it back as None."""
-        lines = [f"{self.field.q} {self.dim} {len(self.points)}"]
+        lines = [f"{self.field.q} {self.dim} {len(self)}"]
         lines.extend(" ".join(str(x) for x in pt) for pt in self.points)
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "DefiningSet":
         """Parse :meth:`to_text` output; the family tag is None, because
-        the format carries none."""
+        the format carries none.  The one place where point tuples enter:
+        their lengths and coordinates are checked before they are encoded."""
         try:  # no lines, a header not of 3 tokens, or a non-integer
             (q, k, n), *pts = (tuple(map(int, ln.split()))
                                for ln in text.splitlines() if ln.strip())
@@ -114,7 +125,11 @@ class DefiningSet:
             raise ParameterError(f"malformed defining set: {exc}") from None
         if len(pts) != n:
             raise ParameterError(f"expected {n} points, found {len(pts)}")
-        return cls(field=field_of_order(q), dim=k, points=tuple(pts))
+        for pt in pts:  # of the wrong length, or not over GF(q)
+            if len(pt) != k or not all(0 <= x < q for x in pt):
+                raise ParameterError(f"{pt} is not a point of AG({k},{q})")
+        codes = _codes(np.array(pts, dtype=np.int64), q) if pts else []
+        return cls(field=field_of_order(q), dim=k, codes=codes)
 
 
 #: smallest h each family is proved for
@@ -132,60 +147,52 @@ def _check_range(family: int, h: int, k: int, relaxed: bool) -> None:
         )
 
 
-def _enumerate(
-    gf: GF,
-    k: int,
-    h: int,
-    prefix_in: Callable[[tuple[int, ...]], bool],
-    tag: str,
-) -> DefiningSet:
-    """All nonzero points whose first h coordinates satisfy a predicate."""
+def _enumerate(gf: GF, k: int, h: int,
+               head_in: Callable[[np.ndarray], np.ndarray],
+               tag: str) -> DefiningSet:
+    """All nonzero points whose first h coordinates satisfy head_in, in
+    code order: head_in maps the digits (h, q^h) of all heads, x_1 first,
+    to a mask (q^h,), and each kept head takes all q^(k-h) tails."""
     q = gf.q
     if q ** k > DEFAULT_POINT_CAP:
-        raise BudgetExceeded(
-            f"AG({k},{q}) has {q ** k} points, above the cap "
-            f"{DEFAULT_POINT_CAP}",
-            required=q ** k,
-        )
-    points = []
-    for head in itertools.product(range(q), repeat=h):
-        if not prefix_in(head):
-            continue
-        for tail in itertools.product(range(q), repeat=k - h):
-            pt = head + tail
-            if any(pt):
-                points.append(pt)
-    return DefiningSet(field=gf, dim=k, points=tuple(points), family=tag)
+        raise BudgetExceeded(f"AG({k},{q}) has {q ** k} points, above the "
+                             f"cap {DEFAULT_POINT_CAP}", required=q ** k)
+    # uint8 digits (q <= 256): the grid is h bytes per head
+    heads = np.indices((q,) * h, dtype=np.uint8).reshape(h, -1)
+    tails = q ** (k - h)
+    codes = (np.flatnonzero(head_in(heads))[:, None] * tails
+             + np.arange(tails)).ravel()
+    return DefiningSet(field=gf, dim=k, codes=codes[codes != 0], family=tag)
+
+
+def _has_zero(heads: np.ndarray) -> np.ndarray:
+    """Mask of the heads (h, q^h) with x_1 * ... * x_h = 0."""
+    return (heads == 0).any(axis=0)
+
+
+def _has_opposite_pair(gf: GF, heads: np.ndarray) -> np.ndarray:
+    """Mask of the heads (h, q^h) with x_i + x_j = 0, i < j, pair by pair."""
+    out = np.zeros(heads.shape[1], dtype=bool)
+    for xi, xj in itertools.combinations(heads, 2):
+        out |= gf.add_table[xi, xj] == 0
+    return out
 
 
 def family1(gf: GF, k: int, h: int, relaxed: bool = False) -> DefiningSet:
     """Points with (x_1 + ... + x_h) * x_1 * ... * x_h = 0."""
     _check_range(1, h, k, relaxed)
 
-    def cond(head: tuple[int, ...]) -> bool:
-        if 0 in head:
-            return True
-        total = 0
-        for x in head:
-            total = gf.add(total, x)
-        return total == 0
+    def head_in(heads: np.ndarray) -> np.ndarray:
+        total = reduce(lambda s, x: gf.add_table[s, x], heads)
+        return _has_zero(heads) | (total == 0)
 
-    return _enumerate(gf, k, h, cond, f"F1(h={h})")
-
-
-def _has_opposite_pair(gf: GF, head: tuple[int, ...]) -> bool:
-    """True iff x_i + x_j = 0 for some i < j."""
-    for i in range(len(head)):
-        for j in range(i + 1, len(head)):
-            if gf.add(head[i], head[j]) == 0:
-                return True
-    return False
+    return _enumerate(gf, k, h, head_in, f"F1(h={h})")
 
 
 def family2(gf: GF, k: int, h: int, relaxed: bool = False) -> DefiningSet:
     """Points with prod_{i<j<=h} (x_i + x_j) = 0."""
     _check_range(2, h, k, relaxed)
-    return _enumerate(gf, k, h, lambda head: _has_opposite_pair(gf, head),
+    return _enumerate(gf, k, h, partial(_has_opposite_pair, gf),
                       f"F2(h={h})")
 
 
@@ -193,14 +200,14 @@ def family3(gf: GF, k: int, h: int, relaxed: bool = False) -> DefiningSet:
     """Points with prod x_i * prod_{i<j<=h} (x_i + x_j) = 0."""
     _check_range(3, h, k, relaxed)
     return _enumerate(
-        gf, k, h, lambda head: 0 in head or _has_opposite_pair(gf, head),
-        f"F3(h={h})")
+        gf, k, h, lambda heads: _has_zero(heads)
+        | _has_opposite_pair(gf, heads), f"F3(h={h})")
 
 
 def family4(gf: GF, k: int, h: int, relaxed: bool = False) -> DefiningSet:
     """Points with x_1 * ... * x_h = 0."""
     _check_range(4, h, k, relaxed)
-    return _enumerate(gf, k, h, lambda head: 0 in head, f"F4(h={h})")
+    return _enumerate(gf, k, h, _has_zero, f"F4(h={h})")
 
 
 FAMILIES: dict[int, Callable[..., DefiningSet]] = {
@@ -208,33 +215,42 @@ FAMILIES: dict[int, Callable[..., DefiningSet]] = {
 }
 
 
+def _projective_points(d: DefiningSet) -> tuple[np.ndarray, np.ndarray]:
+    """The codes (r,) of the distinct projective points of D, normalized
+    (first nonzero entry 1), and their multiplicities (r,), in increasing
+    order of multiplicity."""
+    gf, k = d.field, d.dim
+    if gf.q == 2:  # every nonzero point is its own projective point
+        return d.codes, np.ones(len(d), dtype=np.int64)
+    pts = _digits(d.codes, gf.q, k)
+    lead = pts[np.arange(len(pts)), (pts != 0).argmax(axis=1)]
+    normal = gf.mul_table[gf.inv_table[lead][:, None], pts]
+    codes, mult = np.unique(_codes(normal, gf.q), return_counts=True)
+    order = np.argsort(mult, kind="stable")
+    return codes[order], mult[order]
+
+
 def is_scale_invariant(d: DefiningSet) -> bool:
     """True iff a*D = D for every nonzero scalar a, i.e. D is a union of
-    punctured lines through the origin."""
-    gf = d.field
-    pts = set(d.points)
-    for a in range(2, gf.q):  # a = 1 maps D to itself
-        for pt in d.points:
-            if tuple(gf.mul(a, x) for x in pt) not in pts:
-                return False
-    return True
+    punctured lines through the origin: each of its projective points
+    occurs q-1 times."""
+    return bool((_projective_points(d)[1] == d.field.q - 1).all())
 
 
 def tilde_join(d1: DefiningSet, d2: DefiningSet) -> DefiningSet:
     """Lift D1 to height 1 and D2 to height 0 inside AG(k+1,q).
 
     Coordinate layout: the (x,0) block for x in D2 first, then the (x,1)
-    block for x in D1, each in the stored order of its source set.
+    block for x in D1, each in the stored order of its source set.  The
+    new coordinate is the least significant digit of a code.
     """
     if d1.field != d2.field or d1.dim != d2.dim:
         raise ParameterError("tilde_join requires matching ambient spaces")
     if not is_scale_invariant(d1):
         raise ParameterError("tilde_join requires a scale-invariant D1")
-    points = tuple(pt + (0,) for pt in d2.points) + tuple(
-        pt + (1,) for pt in d1.points
-    )
-    tag = f"[{d1.family or '?'},{d2.family or '?'}]~"
-    return DefiningSet(field=d1.field, dim=d1.dim + 1, points=points,
+    q, tag = d1.field.q, f"[{d1.family or '?'},{d2.family or '?'}]~"
+    return DefiningSet(field=d1.field, dim=d1.dim + 1,
+                       codes=np.concatenate([d2.codes * q, d1.codes * q + 1]),
                        family=tag)
 
 
@@ -329,13 +345,6 @@ def ranks(gf: GF, stacks: np.ndarray) -> np.ndarray:
     return found
 
 
-def rank(gf: GF, rows: Iterable[Sequence[int]]) -> int:
-    """Rank over GF(q) of a list of rows: the one-matrix case of
-    :func:`ranks`."""
-    a = np.array(list(rows), dtype=np.int64)
-    return int(ranks(gf, a[None])[0]) if a.size else 0
-
-
 def _parity(words: np.ndarray, k: int) -> np.ndarray:
     """Parity of the low k bits of each word, by XOR-folding them."""
     width = 1 << (k - 1).bit_length()
@@ -366,14 +375,15 @@ def _ranks_gf2(words: np.ndarray, k: int) -> np.ndarray:
     return found
 
 
-def _kernel(gf: GF, k: int, pts: np.ndarray):
+def _kernel(gf: GF, k: int, codes: np.ndarray):
     """The rows, value function and rank function of :func:`is_cutting`
-    for the points pts (n, k).  At q = 2 a code is the packed word (k is
-    at most 61 under :func:`check_budget`), a class value the parity of
+    for the points of codes (n,).  At q = 2 a code is the packed word (k
+    is at most 61 under :func:`check_budget`), a class value the parity of
     f & x, and :func:`_ranks_gf2` reduces the words; elsewhere the table
-    kernel :func:`ranks` reduces element indices."""
+    kernel :func:`ranks` reduces element indices, the codes' digits."""
     if gf.q != 2:
-        return pts, partial(functional_values, gf), partial(ranks, gf)
+        return (_digits(codes, gf.q, k), partial(functional_values, gf),
+                partial(ranks, gf))
 
     def values(fs, x):
         return _parity(fs[:, None] & x.T, k)
@@ -382,7 +392,7 @@ def _kernel(gf: GF, k: int, pts: np.ndarray):
         return _ranks_gf2(stacks[..., 0], k)
 
     # an (n, 1) column: gathers and zero-padding act as on coordinates
-    return _codes(pts, 2)[:, None], values, rank_of
+    return codes[:, None], values, rank_of
 
 
 def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
@@ -404,8 +414,7 @@ def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
     # (lex order crowds them onto a few), and k+8 random points of a
     # hyperplane span it with probability about 1 - q^-9
     order = np.random.default_rng(0).permutation(len(d))
-    pts, values, rank_of = _kernel(
-        gf, k, np.array(d.points, dtype=np.int64).reshape(len(d), k)[order])
+    pts, values, rank_of = _kernel(gf, k, d.codes[order])
     rows = k + 8
     prefix = pts[: 2 * gf.q * rows]
     for fs in _class_blocks(gf.q, k):

@@ -29,6 +29,7 @@ def _check_params(name: str, q: int, k: int, h: int, h_min: int = 1) -> None:
             f"{name} requires {h_min} <= h <= k and q >= 2; "
             f"got q={q}, k={k}, h={h}"
         )
+    factor_prime_power(q)  # FieldError unless GF(q) exists
 
 
 @dataclass(frozen=True)

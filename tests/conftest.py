@@ -1,13 +1,24 @@
 """Shared oracles, kept independent of the library's code paths: the
 brute-force ones count by direct enumeration over field tuples, and the
-two block-system counts below are identities that only tests use."""
+two block-system counts below are identities that only tests use.
+point_set, which builds a literal set through the library's encoding, is
+the one helper that is not an oracle."""
 
 import itertools
 
+import numpy as np
 import pytest
 
 from mincodes.combinat import count_A, exact_div, phi, psi
 from mincodes.field import field_of_order
+from mincodes.pointset import DefiningSet, _codes
+
+
+def point_set(gf, k, pts):
+    """The defining set of AG(k,q) with the points pts, tuples of element
+    indices, in their order."""
+    rows = np.array(pts, dtype=np.int64).reshape(len(pts), k)
+    return DefiningSet(field=gf, dim=k, codes=_codes(rows, gf.q))
 
 
 def brute_sum_count(s, q, target, coeffs=None):

@@ -284,7 +284,7 @@ def test_criterion_9_cutting_equals_minimality():
                 for h in range(h_min, k + 1):
                     d = ctor(gf, k, h)
                     instances += 1
-                    key = (q, d.dim, d.points)
+                    key = (q, d.dim, d.codes.tobytes())
                     if key not in verdicts:
                         cut = timed("is_cutting", is_cutting, d)
                         minimal = timed("is_minimal_direct",

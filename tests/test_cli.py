@@ -176,8 +176,10 @@ def test_verify_one_family2_witness_check():
     (("weights", "--family", "4", "--q", "3", "--k", "3", "--h", "3",
       "--budget", "-5"), None),
     (("verify-all", "--qs", "3", "--budget", str(2 ** 62)), None),
+    (("weights", "--family", "1", "--q", "6", "--k", "4", "--h", "4",
+      "--method", "formula"), None),
 ], ids=["qs-not-integer", "budget-env-not-integer", "negative-budget",
-        "budget-past-2^62"])
+        "budget-past-2^62", "formula-q-6"])
 def test_bad_input_exits_2_with_one_line(argv, env, monkeypatch, capsys):
     if env is None:
         monkeypatch.delenv(cli.BUDGET_ENV, raising=False)

@@ -20,7 +20,6 @@ from mincodes.code import (
 from mincodes.field import field_of_order, make_field
 from mincodes.pointset import (
     BudgetExceeded,
-    DefiningSet,
     ParameterError,
     _class_values,
     _codes,
@@ -33,13 +32,18 @@ from mincodes.pointset import (
     projective_functionals,
     tilde_join,
 )
-from conftest import brute_is_minimal, brute_rank, brute_weight_distribution
+from conftest import (
+    brute_is_minimal,
+    brute_rank,
+    brute_weight_distribution,
+    point_set,
+)
 
 
 def full_space(gf, k):
     pts = [pt for pt in itertools.product(range(gf.q), repeat=k)
            if any(pt)]
-    return DefiningSet(field=gf, dim=k, points=tuple(pts))
+    return point_set(gf, k, tuple(pts))
 
 
 def test_projective_functionals():
@@ -82,6 +86,15 @@ def test_codeword_example():
         codeword(d, (1, 0, 0))
 
 
+def test_codeword_rejects_coefficients_outside_the_field():
+    # -1 would index the tables from the end, as 4 does; 7 past them
+    d = family4(make_field(5), 3, 3)
+    for f in ((-1, 1, 0), (7, 0, 0), (0, 0, 5)):
+        with pytest.raises(ParameterError, match="outside"):
+            codeword(d, f)
+    assert codeword(d, (4, 1, 0)) != codeword(d, (0, 1, 0))
+
+
 def test_codeword_scalar_multiples_share_weight():
     gf5 = make_field(5)
     d = family4(gf5, 3, 3)
@@ -94,7 +107,7 @@ def test_codeword_scalar_multiples_share_weight():
 def test_dimension():
     gf3 = make_field(3)
     assert dimension(family4(gf3, 3, 3)) == 3
-    line = DefiningSet(field=gf3, dim=3, points=((1, 1, 1), (2, 2, 2)))
+    line = point_set(gf3, 3, ((1, 1, 1), (2, 2, 2)))
     assert dimension(line) == 1
     assert dimension(tilde_join(family4(gf3, 3, 3),
                                 family4(gf3, 3, 3))) == 4
@@ -117,7 +130,7 @@ def test_dimension_matches_the_oracle(q):
                     pt = [gf.add(x, gf.mul(c, y)) for x, y in zip(pt, vec)]
                 if any(pt):
                     pts.add(tuple(pt))
-            d = DefiningSet(field=gf, dim=k, points=tuple(sorted(pts)))
+            d = point_set(gf, k, tuple(sorted(pts)))
             assert dimension(d) == brute_rank(gf, d.points) <= r
 
 
@@ -158,7 +171,7 @@ def test_counts_sum_to_field_size_power():
 
 
 def test_empty_defining_set():
-    d = DefiningSet(field=make_field(3), dim=2, points=())
+    d = point_set(make_field(3), 2, ())
     assert weight_distribution_bruteforce(d).counts() == {0: 9}
     # one codeword, the zero word: nothing to contain or be contained
     assert is_minimal_direct(d).minimal
@@ -177,7 +190,7 @@ def test_budget_exceeded_reports_cost():
 
 def test_class_values_chunk_invariance(monkeypatch):
     d = family4(make_field(2, 2), 3, 3)
-    pts = np.array(d.points)
+    pts = _digits(d.codes, 4, 3)
 
     def values(chunk):
         monkeypatch.setattr(pointset, "_CHUNK", chunk)
@@ -234,7 +247,7 @@ def random_sets(gf, rng):
                 size = (max(len(space) - rng.randrange(3), 0) if dense
                         else rng.randint(1, min(len(space), 4 * k)))
                 pts = rng.sample(space, size)
-            yield DefiningSet(field=gf, dim=k, points=tuple(pts))
+            yield point_set(gf, k, tuple(pts))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -286,13 +299,13 @@ def test_weights_with_mixed_multiplicities(q, monkeypatch):
         pts += [tuple(gf.mul(a, x) for x in pt) for a in scalars]
         if scalars:
             want[pt] = len(scalars)
-    mixed = DefiningSet(field=gf, dim=3,
-                        points=tuple(rng.sample(pts, len(pts))))
-    reps, mult = code._projective_points(gf, np.array(mixed.points))
+    mixed = point_set(gf, 3, tuple(rng.sample(pts, len(pts))))
+    reps, mult = pointset._projective_points(mixed)
+    reps = _digits(reps, q, 3)
     assert dict(zip(map(tuple, reps.tolist()), mult.tolist())) == want
     assert set(want.values()) == set(range(1, q))
     assert mult.tolist() == sorted(mult.tolist())
-    empty = DefiningSet(field=gf, dim=3, points=())
+    empty = point_set(gf, 3, ())
     for d in (mixed, empty, family4(gf, 3, 3)):
         brute = brute_weight_distribution(d)
         for transform in (True, False):
@@ -363,7 +376,7 @@ def test_cutting_equals_minimality_on_spanning_sets(q):
     for k in range(1, 5):
         space = [pt for pt in itertools.product(range(q), repeat=k)
                  if any(pt)]
-        sets += [DefiningSet(field=gf, dim=k, points=tuple(rng.sample(
+        sets += [point_set(gf, k, tuple(rng.sample(
             space, rng.randint(k, min(len(space), 6 * k)))))
             for _ in range(6)]
     seen = set()
@@ -382,7 +395,7 @@ def test_minimal_but_not_cutting():
     # hyperplane: C_D is minimal, D is not cutting
     pts = tuple(sorted(tuple(int(i in pair) for i in range(5))
                        for pair in itertools.combinations(range(5), 2)))
-    d = DefiningSet(field=field_of_order(2), dim=5, points=pts)
+    d = point_set(field_of_order(2), 5, pts)
     assert dimension(d) == 4
     assert is_minimal_direct(d).minimal and not is_cutting(d)
 
@@ -398,7 +411,7 @@ def test_minimality_budget_charges_the_line_scan(monkeypatch):
         tuple(int(i in part) for i in range(16))
         for size in (1, 2) for part in itertools.combinations(range(16),
                                                               size)))
-    d = DefiningSet(field=field_of_order(2), dim=16, points=pts)
+    d = point_set(field_of_order(2), 16, pts)
     assert len(d) == 136
     for check in (is_minimal_direct, summarize):
         with pytest.raises(BudgetExceeded) as exc:

@@ -6,6 +6,7 @@ Regenerate the files (only when an output change is intended) with
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -57,6 +58,21 @@ def test_cli_output_matches_golden(name, monkeypatch):
     monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
     assert run_cli(CASES[name]) == expected
+
+
+#: sha256 of the stdout of ``mincodes verify-all`` at its defaults: 598
+#: PASS, 0 FAIL and 428 SKIP over 1,026 rows, too long for a golden file
+VERIFY_ALL_SHA256 = (
+    "6c2c53c71a0c5a6d6ac565bd5605d6d5b336ea39b8cbac3a6e35bd0462046075")
+
+
+def test_default_verify_all_output_is_pinned(monkeypatch):
+    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    run = run_cli(["verify-all"])
+    assert run["exit_code"] == 0 and run["stderr"] == ""
+    assert run["stdout"].endswith("\n598 PASS, 0 FAIL, 428 SKIP\n")
+    digest = hashlib.sha256(run["stdout"].encode()).hexdigest()
+    assert digest == VERIFY_ALL_SHA256
 
 
 if __name__ == "__main__":

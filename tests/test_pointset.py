@@ -21,7 +21,7 @@ from mincodes.pointset import (
     is_scale_invariant,
     tilde_join,
 )
-from conftest import brute_is_cutting, brute_points, brute_rank
+from conftest import brute_is_cutting, brute_points, brute_rank, point_set
 
 
 def fam1_pred(gf, pt, h):
@@ -117,6 +117,12 @@ def test_points_are_lexicographically_ordered():
     for ctor in (family1, family2, family3, family4):
         d = ctor(make_field(3), 5, 3, relaxed=True)
         assert list(d.points) == sorted(d.points)
+    # code order is lexicographic order: every constructor's codes rise
+    for q in (2, 3, 4, 5):
+        for ctor in FAMILIES.values():
+            for h in (1, 2, 3):
+                d = ctor(field_of_order(q), 4, h, relaxed=True)
+                assert (np.diff(d.codes) > 0).all(), d
 
 
 def test_scale_invariance():
@@ -124,11 +130,15 @@ def test_scale_invariance():
     for ctor, h in ((family1, 4), (family2, 3), (family3, 3), (family4, 3)):
         assert is_scale_invariant(ctor(make_field(3), 4, h))
     assert not is_scale_invariant(
-        DefiningSet(field=gf5, dim=2, points=((1, 0), (2, 0))))
-    assert is_scale_invariant(DefiningSet(field=gf5, dim=2, points=()))
+        point_set(gf5, 2, ((1, 0), (2, 0))))
+    # one whole punctured line is not enough: every line must be whole
+    line = ((1, 0), (2, 0), (3, 0), (4, 0))
+    assert is_scale_invariant(point_set(gf5, 2, line))
+    assert not is_scale_invariant(point_set(gf5, 2, line + ((0, 1),)))
+    assert is_scale_invariant(point_set(gf5, 2, ()))
     # over GF(2) the only nonzero scalar is 1, so every set qualifies
     assert is_scale_invariant(
-        DefiningSet(field=make_field(2), dim=3, points=((1, 0, 0),)))
+        point_set(make_field(2), 3, ((1, 0, 0),)))
 
 
 def test_tilde_join_layout_and_sizes():
@@ -145,7 +155,7 @@ def test_tilde_join_layout_and_sizes():
 def test_tilde_join_rejects_bad_inputs():
     gf3 = make_field(3)
     d = family4(gf3, 3, 3)
-    single = DefiningSet(field=gf3, dim=3, points=((1, 0, 0),))
+    single = point_set(gf3, 3, ((1, 0, 0),))
     with pytest.raises(ParameterError):
         tilde_join(single, d)  # D1 not scale-invariant
     with pytest.raises(ParameterError):
@@ -155,18 +165,49 @@ def test_tilde_join_rejects_bad_inputs():
 def test_defining_set_invariants():
     gf3 = make_field(3)
     with pytest.raises(ParameterError):
-        DefiningSet(field=gf3, dim=2, points=((0, 0),))
+        point_set(gf3, 2, ((0, 0),))
     with pytest.raises(ParameterError):
-        DefiningSet(field=gf3, dim=2, points=((1, 0), (1, 0)))
+        point_set(gf3, 2, ((1, 0), (1, 0)))
+    # a point of the wrong length enters only through the text format
     with pytest.raises(ParameterError):
-        DefiningSet(field=gf3, dim=2, points=((1, 0, 0),))
+        DefiningSet.from_text("3 2 1\n1 0 0\n")
+    with pytest.raises(ParameterError):
+        DefiningSet.from_text("3 2 1\n1\n")
+    # codes outside [1, q^k) are not nonzero points of AG(k,q)
+    for codes in ([9], [-1], [1, 10]):
+        with pytest.raises(ParameterError):
+            DefiningSet(field=gf3, dim=2, codes=codes)
+    # codes of AG(k,q) with q^k > 2^62 could overflow int64
+    assert len(DefiningSet(field=make_field(2), dim=62, codes=[1])) == 1
+    for q, k in ((2, 63), (3, 40), (256, 8)):
+        with pytest.raises(ParameterError):
+            DefiningSet(field=field_of_order(q), dim=k, codes=[1])
+    # the codes are read-only, so a set cannot change after its checks
+    d = family4(gf3, 3, 3)
+    with pytest.raises(ValueError):
+        d.codes[0] = 1
+    with pytest.raises(ParameterError):
+        DefiningSet(field=gf3, dim=2, codes=[[1, 2]])
+
+
+def test_defining_sets_compare_by_value():
+    gf3 = make_field(3)
+    d = family4(gf3, 3, 3)
+    same = DefiningSet(field=gf3, dim=3, codes=list(d.codes),
+                       family=d.family)
+    assert d == same and hash(d) == hash(same) and len({d, same}) == 1
+    assert d.points == same.points and d.points is d.points
+    assert d != DefiningSet(field=gf3, dim=3, codes=d.codes)  # no tag
+    assert d != DefiningSet(field=gf3, dim=3, codes=d.codes[::-1],
+                            family=d.family)
+    assert point_set(gf3, 2, ((1, 0),)) != point_set(gf3, 3, ((0, 1, 0),))
 
 
 def test_is_cutting():
     gf3 = make_field(3)
     d = family4(gf3, 3, 3)
     assert is_cutting(d)
-    line = DefiningSet(field=gf3, dim=3, points=((0, 1, 2), (0, 2, 1)))
+    line = point_set(gf3, 3, ((0, 1, 2), (0, 2, 1)))
     assert not is_cutting(line)
     # the tilde join of cutting sets is cutting
     assert is_cutting(tilde_join(d, d))
@@ -186,8 +227,7 @@ def test_is_cutting_matches_the_oracle_on_random_sets(q):
             dense = q ** k <= 125 and rng.random() < 0.5
             size = (len(space) - rng.randrange(3) if dense
                     else rng.randint(0, min(len(space), 4 * k)))
-            d = DefiningSet(field=gf, dim=k,
-                            points=tuple(rng.sample(space, size)))
+            d = point_set(gf, k, tuple(rng.sample(space, size)))
             verdict = is_cutting(d)
             assert verdict == brute_is_cutting(d), d
             verdicts.add(verdict)
@@ -205,8 +245,7 @@ def test_packed_is_cutting_matches_the_oracle_on_random_sets():
                  if any(pt)]
         for _ in range(6):
             size = rng.randint(0, len(space))
-            d = DefiningSet(field=gf, dim=k,
-                            points=tuple(rng.sample(space, size)))
+            d = point_set(gf, k, tuple(rng.sample(space, size)))
             verdict = is_cutting(d)
             assert verdict == brute_is_cutting(d), d
             verdicts.add((k, verdict))
@@ -267,7 +306,7 @@ def _line_plus_one(q, with_completer):
     if with_completer:
         scan = np.random.default_rng(0).permutation(len(pts) + 1)
         pts.insert(int(scan[-1]), (0, 1, 0))
-    return DefiningSet(field=field_of_order(q), dim=3, points=tuple(pts))
+    return point_set(field_of_order(q), 3, tuple(pts))
 
 
 def _single_ranks(monkeypatch, kernel="ranks"):
@@ -324,7 +363,7 @@ def _plane_plus_subspace(tails, with_completer):
     if with_completer:
         scan = np.random.default_rng(0).permutation(len(pts) + 1)
         pts.insert(int(scan[-1]), (0, 1) + (0,) * 7)
-    return DefiningSet(field=field_of_order(2), dim=9, points=tuple(pts))
+    return point_set(field_of_order(2), 9, tuple(pts))
 
 
 def test_packed_is_cutting_exact_pass(monkeypatch):
@@ -386,7 +425,7 @@ def test_is_cutting_builds_class_blocks_lazily(q, k, monkeypatch):
 
     monkeypatch.setattr(pointset, "_class_codes", spy)
     units = tuple(tuple(int(i == j) for i in range(k)) for j in range(5))
-    d = DefiningSet(field=field_of_order(q), dim=k, points=units)
+    d = point_set(field_of_order(q), k, units)
     assert not is_cutting(d, budget=10 ** 12)
     assert asked == [pointset._CHUNK]
 
@@ -403,8 +442,9 @@ def test_packed_is_cutting_matches_the_table_kernel(monkeypatch):
                 sets += [d, tilde_join(d, d)]
     packed = [is_cutting(d) for d in sets]
 
-    def table(gf, k, pts):  # the q > 2 choice, at q = 2
-        return (pts, partial(pointset.functional_values, gf),
+    def table(gf, k, codes):  # the q > 2 choice, at q = 2
+        return (pointset._digits(codes, gf.q, k),
+                partial(pointset.functional_values, gf),
                 partial(pointset.ranks, gf))
 
     monkeypatch.setattr(pointset, "_kernel", table)
@@ -416,15 +456,15 @@ def test_is_cutting_with_an_empty_hyperplane():
     for q, k in ((2, 2), (3, 3), (4, 2), (5, 3)):
         gf = field_of_order(q)
         # the affine hyperplane x_1 = 1 misses the hyperplane x_1 = 0
-        plane = DefiningSet(field=gf, dim=k, points=tuple(
+        plane = point_set(gf, k, tuple(
             (1,) + tail for tail in itertools.product(range(q), repeat=k - 1)))
         assert not is_cutting(plane)
         assert not brute_is_cutting(plane)
     gf3 = field_of_order(3)
-    assert not is_cutting(DefiningSet(field=gf3, dim=2, points=()))
+    assert not is_cutting(point_set(gf3, 2, ()))
     # in AG(1,q) the one hyperplane is {0}, spanned by the empty set
-    assert is_cutting(DefiningSet(field=gf3, dim=1, points=()))
-    assert is_cutting(DefiningSet(field=gf3, dim=1, points=((2,),)))
+    assert is_cutting(point_set(gf3, 1, ()))
+    assert is_cutting(point_set(gf3, 1, ((2,),)))
 
 
 def test_is_cutting_budget():
@@ -434,10 +474,10 @@ def test_is_cutting_budget():
     assert exc.value.required == 13 * len(d)
     with pytest.raises(ParameterError):
         is_cutting(d, budget=-1)
-    # past 2^62 a class code could overflow int64: at q = 2, k = 64 the
-    # first class's digits would read (1, 0, ..., 0, 1)
-    units = tuple(tuple(int(i == j) for i in range(64)) for j in range(5))
-    wide = DefiningSet(field=field_of_order(2), dim=64, points=units)
+    # past 2^62 a class code could overflow int64; k = 62 is the widest
+    # q = 2 set (a set with q^k > 2^62 is refused)
+    units = tuple(tuple(int(i == j) for i in range(62)) for j in range(5))
+    wide = point_set(field_of_order(2), 62, units)
     with pytest.raises(ParameterError):
         is_cutting(wide, budget=2 ** 62)
     with pytest.raises(BudgetExceeded):
@@ -445,15 +485,14 @@ def test_is_cutting_budget():
 
 
 def test_coordinates_outside_the_field_rejected():
-    gf5 = make_field(5)
     # 7 is not an element of GF(5), even though 7 = 2 mod 5
-    with pytest.raises(ParameterError):
-        DefiningSet(field=gf5, dim=2, points=((7, 1), (2, 1)))
-    with pytest.raises(ParameterError):
-        DefiningSet(field=gf5, dim=2, points=((-1, 1),))
-    with pytest.raises(ParameterError):
-        DefiningSet(field=make_field(2, 2), dim=2, points=((5, 1),))
-    assert len(DefiningSet(field=gf5, dim=2, points=((4, 1), (2, 1)))) == 2
+    with pytest.raises(ParameterError, match=r"\(7, 1\) is not"):
+        DefiningSet.from_text("5 2 2\n7 1\n2 1\n")
+    with pytest.raises(ParameterError, match=r"\(-1, 1\) is not"):
+        DefiningSet.from_text("5 2 1\n-1 1\n")
+    with pytest.raises(ParameterError, match=r"\(5, 1\) is not"):
+        DefiningSet.from_text("4 2 1\n5 1\n")
+    assert len(DefiningSet.from_text("5 2 2\n4 1\n2 1\n")) == 2
 
 
 def test_text_round_trip():

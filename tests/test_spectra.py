@@ -44,9 +44,12 @@ from mincodes.spectra import (
 
 
 def test_lengths_reject_orders_that_are_not_prime_powers():
-    for length in (family2_length, family3_length):
-        with pytest.raises(FieldError):
-            length(6, 3, 3)
+    # GF(6) and GF(10) do not exist, so no closed form has a value there
+    for fn in (family1_length, family2_length, family3_length,
+               family4_length, family1_distribution, family4_distribution):
+        for q in (6, 10):
+            with pytest.raises(FieldError):
+                fn(q, 4, 4)
 
 
 def test_lengths_match_constructions():
