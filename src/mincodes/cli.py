@@ -64,8 +64,12 @@ def build_defining_set(family: int, q: int, k: int, h: int,
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(
+                f"cannot write --output {output!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -184,6 +188,9 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     except ValueError:
         raise ParameterError(
             f"--qs takes comma-separated integers, got {args.qs!r}") from None
+    if args.max_points < 1:
+        raise ParameterError(
+            f"--max-points must be at least 1, got {args.max_points}")
     cache: dict = {}
     lines = []
     tally: collections.Counter = collections.Counter()

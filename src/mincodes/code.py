@@ -8,8 +8,10 @@ so D is first reduced to its distinct projective points, each with its
 multiplicity (q-1 for every point of a family set, which is a cone).
 The oracle evaluates each class on every distinct projective point and
 adds the multiplicities of those off its hyperplane, or reads n minus
-the points on its hyperplane from one exact count over all functionals,
-whichever is cheaper.  Minimality is decided from the same class weights.
+the points on its hyperplane from one exact count over all functionals
+(k steps, each q^2 adds of contiguous int32 blocks), whichever a cost
+model fitted to timings of both routes says is faster.  Minimality is
+decided from the same class weights.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ from .pointset import (
     ParameterError,
     _class_codes,
     _class_values,
+    _codes,
     _digits,
     _projective_points,
     check_budget,
     functional_count,
+    functional_values,
     ranks,
 )
 
@@ -40,10 +44,18 @@ def codeword(d: DefiningSet, f: Sequence[int]) -> tuple[int, ...]:
         raise ParameterError(
             f"functional has length {len(f)}, ambient dimension is {d.dim}"
         )
-    gf = d.field
-    if not all(0 <= c < gf.q for c in f):
-        raise ParameterError(f"functional {tuple(f)} is outside [0, {gf.q})")
-    return tuple(gf.dot(f, pt) for pt in d.points)
+    q = d.field.q
+    if not all(0 <= c < q for c in f):
+        raise ParameterError(f"functional {tuple(f)} is outside [0, {q})")
+    return tuple(_codewords(d, [f])[0].tolist())
+
+
+def _codewords(d: DefiningSet, fs: Sequence[Sequence[int]]) -> np.ndarray:
+    """The values (b, n) of the b linear forms fs on the points of D, in
+    D's order: one numpy evaluation for all of them."""
+    q, k = d.field.q, d.dim
+    fs = np.array(fs, dtype=np.int64).reshape(-1, k)
+    return functional_values(d.field, _codes(fs, q), _digits(d.codes, q, k))
 
 
 def weight(values: Sequence[int]) -> int:
@@ -117,43 +129,52 @@ def _hyperplane_counts(gf: GF, k: int, codes: np.ndarray, mult: np.ndarray
     for D given by the codes (n,) of distinct points, of multiplicities
     mult (n,).
 
-    The table starts as D's multiplicities with a trailing partial sum
-    s = 0.  Each step replaces the coordinate x next to s by a coefficient
-    f, moving the count at (x, s) to (f, s + f x), and puts f in front,
-    so after k steps the axes are (f_1, ..., f_k, s) and s = f.x.
+    The table t[s, code] counts the points of D at each code with partial
+    sum s, and starts as D's multiplicities in row s = 0.  Each step views
+    it as (s, x, rest), x the most significant coordinate left, and
+    replaces x by a coefficient f at the end: the count at (s, x, rest)
+    moves to (s + f x, rest, f).  For each f and x that is one add of a
+    contiguous (q, q^(k-1)) block, its rows permuted by s' -> s' - f x,
+    and each f's sum is written once to its column.  After k steps the
+    axes are (s, f_1, ..., f_k) and s = f.x.
     """
     q = gf.q
     # counts never exceed |D| < q^k, and the table has q^(k+1) cells
-    t = np.zeros((q ** k, q), dtype=np.int32)
-    t[codes, 0] = mult
-    e = np.arange(q)
-    # source[f, x, s]: the flat (x, s - f x) cell whose count lands at s
-    source = e[:, None] * q + gf.add_table[
-        e, gf.neg_table[gf.mul_table][:, :, None]]
+    t = np.zeros((q, q ** k), dtype=np.int32)
+    t[0, codes] = mult
+    # perm[f, x, s']: the partial sum s' - f x whose count lands at s'
+    perm = gf.add_table[np.arange(q), gf.neg_table[gf.mul_table][:, :, None]]
     for _ in range(k):
-        t = t.reshape(-1, q * q)
-        out = np.empty((q, len(t), q), dtype=np.int32)
+        t = t.reshape(q, q, -1)
+        out = np.empty((q, t.shape[2], q), dtype=np.int32)
         for f in range(q):
-            np.add.reduce(t.take(source[f], axis=1), axis=1, out=out[f])
-        t = out
-    return t.reshape(-1, q)[:, 0]
+            acc = t[:, 0].copy()  # x = 0 moves nothing
+            for x in range(1, q):
+                acc += t[perm[f, x], x]
+            out[..., f] = acc
+        t = out.reshape(q, -1)
+    return t[0]
 
 
-def _transform_is_cheaper(gf: GF, k: int, n: int) -> bool:
+def _transform_is_cheaper(gf: GF, k: int, r: int) -> bool:
     """Whether :func:`_hyperplane_counts` takes less time than
-    enumerating the classes on the n distinct projective points of D.
+    enumerating the c classes on the r distinct projective points of D.
 
-    Both costs are in gathered cells of the transform, about 3 ns each.
-    A step gathers q^(k+2) cells and pays about 32 more per row of q^2
-    cells and 2000 per numpy call.  The enumeration pays 5 cells per
-    value over a prime field, 11 over a prime power (k table lookups),
-    and 200 per class.  The constants are fitted to timings of both
-    routes on about 480 sets, q from 2 to 53 and k from 1 to 13.
+    Both costs are in nanoseconds.  A step of the transform adds q^(k+2)
+    cells, about 0.5 ns each, in q^2 block adds of about 3000 ns each.
+    The enumeration costs 14 per value over a prime field, 39 over a
+    prime power (k table lookups), and 500 per class.  The constants are
+    a least-squares fit, in relative error, to the times of both routes on
+    644 sets (2-vCPU VM, Python 3.11, numpy 2.4): every distinct set of
+    perfbench's three workloads and of acceptance criterion 9, 117 rows of
+    ``verify-all`` with 2047 < q^k <= 400000, and 224 seeded random sets,
+    q from 2 to 53 and k from 1 to 17.  Against always taking the faster
+    route, it loses 1.4 ms over all 644.
     """
-    q = gf.q
-    transform = k * (q ** (k + 2) + 32 * q ** k + 2000 * q)
-    value = 5 if gf.m == 1 else 11
-    return transform < functional_count(q, k) * (value * n + 200)
+    q, c = gf.q, functional_count(gf.q, k)
+    transform = k * (q ** (k + 2) // 2 + 3000 * q * q)
+    value = 14 if gf.m == 1 else 39
+    return transform < c * (value * r + 500)
 
 
 def class_weights(d: DefiningSet, budget: int = DEFAULT_BUDGET

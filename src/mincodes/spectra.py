@@ -16,9 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import combinat
 from .combinat import exact_div, gamma_cap, multinomial, psi
-from .code import WeightDistribution, _markdown_table, codeword, weight
+from .code import WeightDistribution, _codewords, _markdown_table
 from .field import factor_prime_power
 from .pointset import FAMILY_H_MIN, DefiningSet, ParameterError
 
@@ -351,8 +353,9 @@ def oracle_failure(family: int, q: int, k: int, h: int, tilde: bool,
     w_min, witnesses = min_fn(q, k, h)
     if w_min != oracle.min_weight:
         return f"min weight formula {w_min} != oracle {oracle.min_weight}"
-    for f in witnesses:
-        if weight(codeword(d, f)) != w_min:
+    weights = np.count_nonzero(_codewords(d, witnesses), axis=1)
+    for f, w in zip(witnesses, weights.tolist()):
+        if w != w_min:
             return f"witness {f} misses minimum weight"
     if oracle.counts()[w_min] != (q - 1) * len(witnesses):
         return "non-witness hyperplane reaches the minimum"

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,8 +182,17 @@ def test_verify_one_family2_witness_check():
     (("verify-all", "--qs", "3", "--budget", str(2 ** 62)), None),
     (("weights", "--family", "1", "--q", "6", "--k", "4", "--h", "4",
       "--method", "formula"), None),
+    (("verify-all", "--max-points", "0"), None),
+    (("verify-all", "--max-points", "-5"), None),
+    (("weights", "--family", "4", "--q", "3", "--k", "3", "--h", "3",
+      "--output", os.path.join(os.path.dirname(__file__), "no-such-dir",
+                               "out.json")), None),
+    (("weights", "--family", "4", "--q", "3", "--k", "3", "--h", "3",
+      "--output", os.path.dirname(__file__)), None),
 ], ids=["qs-not-integer", "budget-env-not-integer", "negative-budget",
-        "budget-past-2^62", "formula-q-6"])
+        "budget-past-2^62", "formula-q-6", "max-points-0",
+        "max-points-negative", "output-in-a-missing-directory",
+        "output-a-directory"])
 def test_bad_input_exits_2_with_one_line(argv, env, monkeypatch, capsys):
     if env is None:
         monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
@@ -221,3 +234,17 @@ def test_min_weight_mutation_fails_both_callers(family, monkeypatch, capsys):
     *rows, summary = out.splitlines()
     assert code == 1 and sum(" FAIL " in row for row in rows) == 1
     assert summary == f"{len(rows) - 1} PASS, 1 FAIL, 0 SKIP"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop(cli.BUDGET_ENV, None)
+    argv = ["weights", "--family", "4", "--q", "3", "--k", "3", "--h", "3",
+            "--format", "csv"]
+    proc = subprocess.run([sys.executable, "-m", "mincodes", *argv],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[:2] == ["weight,count", "0,1"]
+    assert "match,true" in proc.stdout

@@ -95,6 +95,16 @@ def test_codeword_rejects_coefficients_outside_the_field():
     assert codeword(d, (4, 1, 0)) != codeword(d, (0, 1, 0))
 
 
+@pytest.mark.parametrize("q", [2, 4, 7, 8, 9])
+def test_codeword_matches_the_scalar_dot(q):
+    gf = field_of_order(q)
+    rng = random.Random(500 + q)
+    for d in (family4(gf, 3, 3), point_set(gf, 3, ())):
+        for _ in range(20):
+            f = tuple(rng.randrange(q) for _ in range(3))
+            assert codeword(d, f) == tuple(gf.dot(f, pt) for pt in d.points)
+
+
 def test_codeword_scalar_multiples_share_weight():
     gf5 = make_field(5)
     d = family4(gf5, 3, 3)
@@ -314,6 +324,28 @@ def test_weights_with_mixed_multiplicities(q, monkeypatch):
             assert code._distribution(q, class_weights(d)).counts() == brute
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_hyperplane_counts_match_a_pure_python_count(q):
+    # |D ∩ ker f| at the code of every functional f, one scalar product
+    # at a time, for distinct points of mixed multiplicities
+    gf = field_of_order(q)
+    rng = random.Random(400 + q)
+    for k in (1, 2, 3):
+        space = [pt for pt in itertools.product(range(q), repeat=k)
+                 if any(pt)]
+        for size in (0, 1, min(len(space), 12), len(space)):
+            pts = sorted(rng.sample(space, size))
+            mult = [rng.randint(1, 2 * q) for _ in pts]
+            codes = _codes(np.array(pts, dtype=np.int64).reshape(-1, k), q)
+            counts = code._hyperplane_counts(
+                gf, k, codes, np.array(mult, dtype=np.int64))
+            assert counts.shape == (q ** k,)
+            for f in itertools.product(range(q), repeat=k):
+                want = sum(m for pt, m in zip(pts, mult)
+                           if gf.dot(f, pt) == 0)
+                assert counts[_codes(np.array(f), q)] == want, (k, pts, f)
+
+
 def test_class_weights_picks_the_cheaper_route(monkeypatch):
     class Chosen(Exception):
         pass
@@ -327,17 +359,22 @@ def test_class_weights_picks_the_cheaper_route(monkeypatch):
         patch.setattr(code, "_hyperplane_counts", stop("transform"))
         patch.setattr(code, "_class_values", stop("enumeration"))
         # few classes and many points: the transform's q^(k+2) cells make
-        # it 3 to 10 times slower than enumerating on these large_q sets
+        # it 25 to 240 times slower than enumerating on these large_q sets
         for q in (32, 49, 53):
             with pytest.raises(Chosen, match="enumeration"):
                 class_weights(family4(field_of_order(q), 3, 3))
-        with pytest.raises(Chosen, match="transform"):
-            class_weights(family4(field_of_order(2), 10, 3))
-        # 11,244 points would take the transform, their 937 projective
+        # many classes: the transform is about 2 and 1.3 times faster on
+        # the large_q sets at k = 4
+        for d in (family4(field_of_order(2), 10, 3),
+                  family3(field_of_order(13), 4, 3),
+                  family2(field_of_order(11), 4, 3)):
+            with pytest.raises(Chosen, match="transform"):
+                class_weights(d)
+        # 7,056 points would take the transform, their 147 projective
         # points the enumeration
-        d = family3(field_of_order(13), 4, 3)
-        assert len(d) == 11244
-        assert code._transform_is_cheaper(d.field, 4, len(d))
+        d = family4(field_of_order(49), 3, 3)
+        assert len(d) == 7056
+        assert code._transform_is_cheaper(d.field, 3, len(d))
         with pytest.raises(Chosen, match="enumeration"):
             class_weights(d)
 
@@ -357,7 +394,7 @@ def test_class_weights_picks_the_cheaper_route(monkeypatch):
     assert {n for _, n in cells} == {147}
     for q, k, h, ctor in ((49, 3, 3, family4), (53, 3, 3, family4),
                           (32, 3, 3, family4),
-                          (13, 4, 3, family3), (11, 4, 3, family2),
+                          (13, 3, 3, family3), (11, 3, 3, family2),
                           (2, 4, 4, family1)):
         d = ctor(field_of_order(q), k, h)
         cells.clear()

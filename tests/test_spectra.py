@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mincodes import spectra
 from mincodes.code import (
     WeightDistribution,
     codeword,
@@ -39,6 +40,7 @@ from mincodes.spectra import (
     family4_tilde_distribution,
     lambda_r_pos,
     lambda_r_zero,
+    oracle_failure,
     tilde_transfer,
 )
 
@@ -296,3 +298,22 @@ def test_parameter_validation():
         family4_length(3, 2, 3)  # h > k
     with pytest.raises(ParameterError):
         family4_distribution(1, 3, 3)
+
+
+@pytest.mark.parametrize("family", [2, 3])
+def test_oracle_failure_evaluates_every_witness(family, monkeypatch):
+    # a witness that is not a minimum-weight hyperplane fails the check,
+    # wherever it sits in the list
+    d = FAMILIES[family](field_of_order(7), 3, 3)
+    oracle = weight_distribution_bruteforce(d)
+    assert oracle_failure(family, 7, 3, 3, False, d, oracle) is None
+    name = f"family{family}_min_weight"
+    real = getattr(spectra, name)
+    w_min, witnesses = real(7, 3, 3)
+    for i in (0, len(witnesses) - 1):
+        wrong = list(witnesses)
+        wrong[i] = (1, 2, 0)
+        monkeypatch.setattr(spectra, name,
+                            lambda q, k, h, wrong=wrong: (w_min, wrong))
+        assert oracle_failure(family, 7, 3, 3, False, d, oracle) == (
+            "witness (1, 2, 0) misses minimum weight")
