@@ -163,7 +163,7 @@ def verify_one(family: int, q: int, k: int, h: int, tilde: bool,
         return "SKIP", f"cost {exc.required} over budget {budget}"
     cache = _cache if _cache is not None else {}
     d = build_defining_set(family, q, k, h, tilde=tilde)
-    okey = ("dist", q, d.dim, d.codes.tobytes())
+    okey = (q, d.dim, d.codes.tobytes())
     # one lookup: hashing the key hashes every code of D
     oracle = cache.get(okey)
     if oracle is None:
@@ -191,6 +191,8 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     if args.max_points < 1:
         raise ParameterError(
             f"--max-points must be at least 1, got {args.max_points}")
+    for q in qs:  # refuse a bad order before the sweep, not midway
+        field_of_order(q)
     cache: dict = {}
     lines = []
     tally: collections.Counter = collections.Counter()

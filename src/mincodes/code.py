@@ -26,15 +26,15 @@ from .pointset import (
     DEFAULT_BUDGET,
     DefiningSet,
     ParameterError,
+    _class_blocks,
     _class_codes,
-    _class_values,
     _codes,
     _digits,
+    _kernel,
     _projective_points,
     check_budget,
     functional_count,
     functional_values,
-    ranks,
 )
 
 
@@ -58,13 +58,11 @@ def _codewords(d: DefiningSet, fs: Sequence[Sequence[int]]) -> np.ndarray:
     return functional_values(d.field, _codes(fs, q), _digits(d.codes, q, k))
 
 
-def weight(values: Sequence[int]) -> int:
-    return sum(1 for v in values if v)
-
-
 def dimension(d: DefiningSet) -> int:
-    """Rank over GF(q) of the matrix whose columns are the points of D."""
-    return int(ranks(d.field, _digits(d.codes, d.field.q, d.dim)[None])[0])
+    """Rank over GF(q) of the matrix whose columns are the points of D,
+    by the row reduction :func:`_kernel` picks for q."""
+    pts, _, rank_of = _kernel(d.field, d.dim, d.codes)
+    return int(rank_of(pts[None])[0])
 
 
 @dataclass(frozen=True)
@@ -200,7 +198,8 @@ def class_weights(d: DefiningSet, budget: int = DEFAULT_BUDGET
     levels, starts = np.unique(mult, return_index=True)
     ends = np.append(starts[1:], len(pts))
     weights = []
-    for vals in _class_values(gf, pts):
+    for fs in _class_blocks(gf.q, k):
+        vals = functional_values(gf, fs, pts)
         w = np.zeros(len(vals), dtype=np.int64)
         for m, lo, hi in zip(levels, starts, ends):
             w += m * np.count_nonzero(vals[:, lo:hi], axis=1)
@@ -271,8 +270,7 @@ def is_minimal_direct(
     at p, a before p with a_p = 0; the points are b and a + s*b), in
     increasing order of b, their smallest class.  The witness
     (containing, contained) is the lexicographically smallest violating
-    pair, a line's smallest heaviest class and its smallest other class,
-    so the scan stops once b passes the best containing class.
+    pair, a line's smallest heaviest class and its smallest other class.
     """
     _check_scan_budget(d, budget)
     return _minimality(d.field, d.dim, class_weights(d, budget))
@@ -304,8 +302,6 @@ def _minimality(gf: GF, k: int, wts: np.ndarray) -> MinimalityResult:
             q ** (p - 1 - lead)) for lead in range(p)])
         nv = max(1, _SCAN_CELLS // (len(heads) * q ** (m + 1)))
         for v0 in range(0, q ** m, nv):
-            if first[p] + v0 > best // c:
-                break
             vs = np.arange(v0, min(v0 + nv, q ** m))  # b after p
             b = first[p] + vs
             # class of a + s*b at [a's head, b, s, a after p]

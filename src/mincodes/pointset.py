@@ -286,19 +286,6 @@ def _class_blocks(q: int, k: int) -> Iterator[np.ndarray]:
         yield _class_codes(q, k, np.arange(lo, min(lo + _CHUNK, c)))
 
 
-def projective_functionals(gf: GF, k: int) -> Iterator[tuple[int, ...]]:
-    """One representative per hyperplane through the origin (first
-    nonzero coefficient normalized to 1), in lexicographic order."""
-    for codes in _class_blocks(gf.q, k):
-        yield from map(tuple, _digits(codes, gf.q, k).tolist())
-
-
-def _class_values(gf: GF, pts: np.ndarray) -> Iterator[np.ndarray]:
-    """The values (b, n) at the points pts (n, k) of each class block."""
-    for codes in _class_blocks(gf.q, pts.shape[1]):
-        yield functional_values(gf, codes, pts)
-
-
 def functional_values(gf: GF, fs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Values of the linear forms of codes fs (b,) at the points pts (n, k),
     as a (b, n) array of element indices."""
@@ -377,10 +364,11 @@ def _ranks_gf2(words: np.ndarray, k: int) -> np.ndarray:
 
 def _kernel(gf: GF, k: int, codes: np.ndarray):
     """The rows, value function and rank function of :func:`is_cutting`
-    for the points of codes (n,).  At q = 2 a code is the packed word (k
-    is at most 61 under :func:`check_budget`), a class value the parity of
-    f & x, and :func:`_ranks_gf2` reduces the words; elsewhere the table
-    kernel :func:`ranks` reduces element indices, the codes' digits."""
+    and of the code dimension for the points of codes (n,).  At q = 2 a
+    code is the packed word (k is at most 62 in a :class:`DefiningSet`),
+    a class value the parity of f & x, and :func:`_ranks_gf2` reduces the
+    words; elsewhere the table kernel :func:`ranks` reduces element
+    indices, the codes' digits."""
     if gf.q != 2:
         return (_digits(codes, gf.q, k), partial(functional_values, gf),
                 partial(ranks, gf))
@@ -401,9 +389,8 @@ def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
 
     Blocks of classes are row-reduced together on at most k+8 points of
     each hyperplane, drawn from a prefix of D in a fixed shuffled order.
-    A class that falls short of rank k-1 there is reduced again on the
-    first 4(k+8) of its points, and then, if those fall short too, on all
-    of them, one class at a time, so memory stays bounded.
+    A class that falls short of rank k-1 there is reduced again on all of
+    its points, one class at a time, so memory stays bounded.
 
     Both routes visit the same blocks of class codes; :func:`_kernel`
     picks the route.
@@ -425,8 +412,6 @@ def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
         short = rank_of(pts[idx] * on[..., None]) < k - 1
         for f in fs[short]:
             plane = pts[values(f[None], pts)[0] == 0]
-            if rank_of(plane[None, : 4 * rows])[0] < k - 1 and (
-                    len(plane) <= 4 * rows
-                    or rank_of(plane[None])[0] < k - 1):
+            if rank_of(plane[None])[0] < k - 1:
                 return False
     return True

@@ -76,8 +76,6 @@ def _aggregate(
     counts: dict[int, int] = {0: 1}
     prov: list[tuple[int, str]] = []
     for w, c, label in terms:
-        if c == 0:
-            continue
         counts[w] = counts.get(w, 0) + c
         prov.append((w, label))
     dist = WeightDistribution.from_counts(counts)

@@ -189,10 +189,15 @@ def test_verify_one_family2_witness_check():
                                "out.json")), None),
     (("weights", "--family", "4", "--q", "3", "--k", "3", "--h", "3",
       "--output", os.path.dirname(__file__)), None),
+    (("verify-all", "--qs", "300", "--max-points", "10"), None),
+    (("verify-all", "--qs", "6", "--max-points", "1"), None),
+    (("verify-all", "--qs", "2,300", "--max-points", "10"), None),
+    (("verify-all", "--qs", "1"), None),
 ], ids=["qs-not-integer", "budget-env-not-integer", "negative-budget",
         "budget-past-2^62", "formula-q-6", "max-points-0",
         "max-points-negative", "output-in-a-missing-directory",
-        "output-a-directory"])
+        "output-a-directory", "qs-300", "qs-6-below-max-points",
+        "qs-300-after-2", "qs-1"])
 def test_bad_input_exits_2_with_one_line(argv, env, monkeypatch, capsys):
     if env is None:
         monkeypatch.delenv(cli.BUDGET_ENV, raising=False)

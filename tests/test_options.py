@@ -53,4 +53,4 @@ def test_option_counts_are_pinned():
                     fn = getattr(member, "__func__", member)
                     if inspect.isfunction(fn):
                         params += _params(fn)
-    assert (options, params, fields) == (22, 158, 22)
+    assert (options, params, fields) == (22, 155, 22)
