@@ -327,19 +327,30 @@ def _single_ranks(monkeypatch, kernel="ranks"):
 
 
 def test_is_cutting_exact_pass(monkeypatch):
-    # q - 1 > k + 8 points of x_1 = 0 lie on one line, so the first k + 8
-    # of them in scan order fall short of rank 2, and only the exact pass,
-    # one rank over all of that hyperplane's points, finds the completer;
-    # at q = 13 the scan's prefix holds all of D (n < 2q(k+8))
+    # q - 1 = 12 > k + 8 points of x_1 = 0 lie on one line, so the first
+    # k + 8 of them in scan order fall short of rank 2, and only the exact
+    # pass, one rank over all of that hyperplane's points, finds the
+    # completer; the scan's prefix holds all of D (n < 2q(k+8))
     single = _single_ranks(monkeypatch)
-    assert len(_line_plus_one(13, with_completer=True)) < 2 * 13 * 11
-    for q in (13, 47):
-        single.clear()
-        assert is_cutting(_line_plus_one(q, with_completer=True))
-        assert single == [q]
-        single.clear()
-        assert not is_cutting(_line_plus_one(q, with_completer=False))
-        assert single == [q - 1]
+    d = _line_plus_one(13, with_completer=True)
+    assert len(d) < 2 * 13 * 11
+    assert is_cutting(d)
+    assert single == [13]
+    single.clear()
+    assert not is_cutting(_line_plus_one(13, with_completer=False))
+    assert single == [12]
+
+
+def test_is_cutting_second_exact_stage(monkeypatch):
+    # q - 1 = 46 > 4(k + 8) = 44 points of x_1 = 0 lie on one line: a
+    # short hyperplane far longer than the scan's prefix is still settled
+    # by one exact rank over all of its points, not by one over a prefix
+    single = _single_ranks(monkeypatch)
+    assert is_cutting(_line_plus_one(47, with_completer=True))
+    assert single == [47]
+    single.clear()
+    assert not is_cutting(_line_plus_one(47, with_completer=False))
+    assert single == [46]
 
 
 def _plane_plus_subspace(tails, with_completer):
@@ -357,22 +368,30 @@ def _plane_plus_subspace(tails, with_completer):
 
 
 def test_packed_is_cutting_exact_pass(monkeypatch):
-    # the 29 tails of weight at least 5, or all 127 nonzero tails, span
-    # GF(2)^7; the points of x_1 = 0 in the prefix fall short of rank 8,
-    # and only the exact pass, one rank over all of that hyperplane's 30
-    # or 128 points, finds the completer
+    # the 29 tails of weight at least 5 span GF(2)^7; the points of
+    # x_1 = 0 in the prefix fall short of rank 8, and only the exact pass
+    # over that hyperplane's 30 points finds the completer
+    tails = [t for t in itertools.product(range(2), repeat=7) if sum(t) >= 5]
+    assert brute_rank(field_of_order(2), tails) == 7
     single = _single_ranks(monkeypatch, "_ranks_gf2")
-    for least in (5, 1):
-        tails = [t for t in itertools.product(range(2), repeat=7)
-                 if sum(t) >= least]
-        assert brute_rank(field_of_order(2), tails) == 7
-        single.clear()
-        assert is_cutting(_plane_plus_subspace(tails, with_completer=True))
-        assert single == [len(tails) + 1]
-        single.clear()
-        assert not is_cutting(
-            _plane_plus_subspace(tails, with_completer=False))
-        assert single == [len(tails)]
+    assert is_cutting(_plane_plus_subspace(tails, with_completer=True))
+    assert single == [30]
+    single.clear()
+    assert not is_cutting(_plane_plus_subspace(tails, with_completer=False))
+    assert single == [29]
+
+
+def test_packed_is_cutting_second_exact_stage(monkeypatch):
+    # all 127 nonzero tails: x_1 = 0 holds 127 > 4(k + 8) = 68 points of
+    # the subspace, and one exact rank over all of them, not one over a
+    # prefix, decides
+    tails = [t for t in itertools.product(range(2), repeat=7) if any(t)]
+    single = _single_ranks(monkeypatch, "_ranks_gf2")
+    assert is_cutting(_plane_plus_subspace(tails, with_completer=True))
+    assert single == [128]
+    single.clear()
+    assert not is_cutting(_plane_plus_subspace(tails, with_completer=False))
+    assert single == [127]
 
 
 @pytest.mark.parametrize("q, kernel, unused", [
