@@ -188,6 +188,8 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     except ValueError:
         raise ParameterError(
             f"--qs takes comma-separated integers, got {args.qs!r}") from None
+    if len(set(qs)) < len(qs):  # each row would run and count twice
+        raise ParameterError(f"--qs repeats a field order: {args.qs!r}")
     if args.max_points < 1:
         raise ParameterError(
             f"--max-points must be at least 1, got {args.max_points}")

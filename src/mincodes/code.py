@@ -16,6 +16,7 @@ decided from the same class weights.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Optional, Sequence
 
@@ -45,8 +46,9 @@ def codeword(d: DefiningSet, f: Sequence[int]) -> tuple[int, ...]:
             f"functional has length {len(f)}, ambient dimension is {d.dim}"
         )
     q = d.field.q
-    if not all(0 <= c < q for c in f):
-        raise ParameterError(f"functional {tuple(f)} is outside [0, {q})")
+    if not all(isinstance(c, numbers.Integral) and 0 <= c < q for c in f):
+        raise ParameterError(
+            f"functional {tuple(f)} is outside the integers in [0, {q})")
     return tuple(_codewords(d, [f])[0].tolist())
 
 

@@ -7,6 +7,7 @@ transcribed wrong, so we abort loudly instead of rounding).
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from typing import Iterator, Sequence
@@ -94,13 +95,10 @@ def gamma_cap(h: int, q: int) -> int:
         raise CountError("gamma_cap is defined for odd q only")
     if h < 0:
         raise CountError("h must be >= 0")
-    total = 0
-    for s in range(1, min(h, (q - 1) // 2) + 1):
-        falling = 1
-        for t in range(s):
-            falling *= q - 1 - 2 * t
-        total += exact_div(falling, math.factorial(s)) * surjections(h, s)
-    return total
+    m = (q - 1) // 2  # the pairs {a, -a} of nonzero elements
+    # s of the pairs, one element of each, and the h positions onto them
+    return sum(math.comb(m, s) * 2 ** s * surjections(h, s)
+               for s in range(1, min(h, m) + 1))
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:
@@ -116,9 +114,7 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
 
 def part_type(parts: Sequence[int]) -> tuple[int, ...]:
     """Multiplicities (i_1,...,i_j) of the distinct values in ``parts``."""
-    seen: dict[int, int] = {}
-    for r in parts:
-        seen[r] = seen.get(r, 0) + 1
+    seen = collections.Counter(parts)
     return tuple(seen[v] for v in sorted(seen, reverse=True))
 
 

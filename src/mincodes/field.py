@@ -162,7 +162,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     raise FieldError(f"{q} is not a prime power")
 
 
-@functools.lru_cache(maxsize=None)
 def field_of_order(q: int) -> GF:
-    """Build GF(q) for a prime power q, factoring q automatically."""
+    """Build GF(q) for a prime power q, factoring q automatically (the
+    same object on every call, from :func:`make_field`'s cache)."""
     return make_field(*factor_prime_power(q))

@@ -71,7 +71,10 @@ class DefiningSet:
         q, k = self.field.q, self.dim
         if not 1 <= k <= 62 or q ** k > 2 ** 62:  # codes must fit int64
             raise ParameterError(f"AG({k},{q}) needs k >= 1 and q^k <= 2^62")
-        codes = np.array(self.codes, dtype=np.int64)
+        codes = np.asarray(self.codes)
+        if codes.size and codes.dtype.kind not in "iu":  # never truncate
+            raise ParameterError(f"codes must be integers, got {codes.dtype}")
+        codes = codes.astype(np.int64)  # a copy, so read-only is safe
         # code 0 is the origin, which defining sets exclude
         if codes.ndim != 1 or ((codes < 1) | (codes >= q ** k)).any():
             raise ParameterError(f"codes must be a flat list in [1, {q}^{k})")
@@ -332,15 +335,6 @@ def ranks(gf: GF, stacks: np.ndarray) -> np.ndarray:
     return found
 
 
-def _parity(words: np.ndarray, k: int) -> np.ndarray:
-    """Parity of the low k bits of each word, by XOR-folding them."""
-    width = 1 << (k - 1).bit_length()
-    while width > 1:
-        width //= 2
-        words = words ^ (words >> width)
-    return words & 1
-
-
 def _ranks_gf2(words: np.ndarray, k: int) -> np.ndarray:
     """Rank over GF(2) of each matrix in a (C, R) stack of rows packed
     into the low k bits of words, their :func:`_codes`: :func:`ranks`
@@ -373,8 +367,8 @@ def _kernel(gf: GF, k: int, codes: np.ndarray):
         return (_digits(codes, gf.q, k), partial(functional_values, gf),
                 partial(ranks, gf))
 
-    def values(fs, x):
-        return _parity(fs[:, None] & x.T, k)
+    def values(fs, x):  # codes are non-negative: popcount of f & x
+        return np.bitwise_count(fs[:, None] & x.T) & 1
 
     def rank_of(stacks):
         return _ranks_gf2(stacks[..., 0], k)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -44,9 +44,13 @@ class SpectrumReport:
     h: int
     tilde: bool
     n: int
-    dim: int
     distribution: WeightDistribution
     provenance: tuple[tuple[int, str], ...]
+
+    @property
+    def dim(self) -> int:
+        """The code dimension: k, for every family and its lift alike."""
+        return self.k
 
     def to_json_dict(self) -> dict:
         out = self.distribution.to_json_dict(self.n, self.dim)
@@ -70,7 +74,7 @@ class SpectrumReport:
 
 
 def _aggregate(
-    family: int, q: int, k: int, h: int, tilde: bool, n: int, dim: int,
+    family: int, q: int, k: int, h: int, tilde: bool, n: int,
     terms: list[tuple[int, int, str]],
 ) -> SpectrumReport:
     counts: dict[int, int] = {0: 1}
@@ -80,7 +84,7 @@ def _aggregate(
         prov.append((w, label))
     dist = WeightDistribution.from_counts(counts)
     return SpectrumReport(
-        family=family, q=q, k=k, h=h, tilde=tilde, n=n, dim=dim,
+        family=family, q=q, k=k, h=h, tilde=tilde, n=n,
         distribution=dist, provenance=tuple(sorted(prov)),
     )
 
@@ -147,7 +151,7 @@ def family1_distribution(q: int, k: int, h: int,
             )
             label = f"r=0, s={s}, partition {{{','.join(map(str, parts))}}}"
             terms.append((n - lam + 1, count, label))
-    return _aggregate(1, q, k, h, False, n, k, terms)
+    return _aggregate(1, q, k, h, False, n, terms)
 
 
 # -- Families 2 and 3: lengths and minimum weights ---------------------------
@@ -238,7 +242,7 @@ def family4_distribution(q: int, k: int, h: int,
         w_s = n - q ** (k - 1) + q ** (k - h) * (q - 1) ** (h - s) \
             * psi(s, q) + 1
         terms.append((w_s, math.comb(h, s) * (q - 1) ** s, f"w_{s}"))
-    return _aggregate(4, q, k, h, False, n, k, terms)
+    return _aggregate(4, q, k, h, False, n, terms)
 
 
 # -- tilde lifts --------------------------------------------------------------
@@ -279,9 +283,8 @@ def _tilde_report(base: SpectrumReport) -> SpectrumReport:
     for w, label in base.provenance:
         prov.append((2 * w, f"2*({label})"))
         prov.append((n + (q - 2) * w // (q - 1), f"n+(q-2)/(q-1)*({label})"))
-    return SpectrumReport(
-        family=base.family, q=q, k=base.k + 1, h=base.h, tilde=True,
-        n=2 * n, dim=base.k + 1, distribution=dist,
+    return replace(
+        base, k=base.k + 1, tilde=True, n=2 * n, distribution=dist,
         provenance=tuple(sorted(set(prov))),
     )
 

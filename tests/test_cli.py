@@ -193,11 +193,12 @@ def test_verify_one_family2_witness_check():
     (("verify-all", "--qs", "6", "--max-points", "1"), None),
     (("verify-all", "--qs", "2,300", "--max-points", "10"), None),
     (("verify-all", "--qs", "1"), None),
+    (("verify-all", "--qs", "2,2", "--max-points", "8"), None),
 ], ids=["qs-not-integer", "budget-env-not-integer", "negative-budget",
         "budget-past-2^62", "formula-q-6", "max-points-0",
         "max-points-negative", "output-in-a-missing-directory",
         "output-a-directory", "qs-300", "qs-6-below-max-points",
-        "qs-300-after-2", "qs-1"])
+        "qs-300-after-2", "qs-1", "qs-repeated"])
 def test_bad_input_exits_2_with_one_line(argv, env, monkeypatch, capsys):
     if env is None:
         monkeypatch.delenv(cli.BUDGET_ENV, raising=False)

@@ -91,7 +91,8 @@ def test_codeword_example():
 def test_codeword_rejects_coefficients_outside_the_field():
     # -1 would index the tables from the end, as 4 does; 7 past them
     d = family4(make_field(5), 3, 3)
-    for f in ((-1, 1, 0), (7, 0, 0), (0, 0, 5)):
+    # and a non-integer would be truncated, 1.5 evaluated as 1
+    for f in ((-1, 1, 0), (7, 0, 0), (0, 0, 5), (1.5, 0, 0), (0, 0.0, 1)):
         with pytest.raises(ParameterError, match="outside"):
             codeword(d, f)
     assert codeword(d, (4, 1, 0)) != codeword(d, (0, 1, 0))

@@ -189,6 +189,12 @@ def test_defining_set_invariants():
         d.codes[0] = 1
     with pytest.raises(ParameterError):
         DefiningSet(field=gf3, dim=2, codes=[[1, 2]])
+    # codes are never truncated or overflowed: non-integers and codes past
+    # int64 are refused, and the empty set stays valid
+    for codes in ([1.5, 2.7], [2 ** 63], [2 ** 64], [True]):
+        with pytest.raises(ParameterError):
+            DefiningSet(field=gf3, dim=3, codes=codes)
+    assert len(DefiningSet(field=gf3, dim=3, codes=[])) == 0
 
 
 def test_defining_sets_compare_by_value():
