@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -149,20 +150,27 @@ def make_field(p: int, m: int = 1) -> GF:
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """(p, m) with q = p^m and p prime; FieldError for any other q."""
-    for p in range(2, q + 1):
-        if q % p == 0:  # the smallest divisor above 1 is prime
-            m, rest = 0, q
-            while rest % p == 0:
-                rest //= p
-                m += 1
-            if rest == 1:
-                return p, m
-            break
+    """(p, m) with q = p^m and p prime; FieldError for any other q.
+
+    Trial division runs only up to isqrt(q): a q >= 2 with no divisor
+    there is prime.  So it costs O(sqrt(q)) steps, which is still about
+    3 * 10^9 for a prime near 10^19.
+    """
+    if q >= 2:
+        p = next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)
+        m, rest = 0, q
+        while rest % p == 0:  # the smallest divisor above 1 is prime
+            rest //= p
+            m += 1
+        if rest == 1:
+            return p, m
     raise FieldError(f"{q} is not a prime power")
 
 
 def field_of_order(q: int) -> GF:
     """Build GF(q) for a prime power q, factoring q automatically (the
-    same object on every call, from :func:`make_field`'s cache)."""
+    same object on every call, from :func:`make_field`'s cache).  An
+    order above MAX_ORDER is refused before it is factored."""
+    if q > MAX_ORDER:
+        raise FieldError(f"field order {q} exceeds cap {MAX_ORDER}")
     return make_field(*factor_prime_power(q))

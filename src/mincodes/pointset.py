@@ -10,6 +10,7 @@ fixtures) is bit-stable.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from typing import Callable, Iterator, Optional
@@ -357,12 +358,14 @@ def _ranks_gf2(words: np.ndarray, k: int) -> np.ndarray:
 
 
 def _kernel(gf: GF, k: int, codes: np.ndarray):
-    """The rows, value function and rank function of :func:`is_cutting`
-    and of the code dimension for the points of codes (n,).  At q = 2 a
-    code is the packed word (k is at most 62 in a :class:`DefiningSet`),
-    a class value the parity of f & x, and :func:`_ranks_gf2` reduces the
-    words; elsewhere the table kernel :func:`ranks` reduces element
-    indices, the codes' digits."""
+    """The rows, value function and rank function for the points of codes
+    (n,) of :func:`is_cutting`'s exact pass over all of a hyperplane's
+    points, of its row stage at q >= 5 and of the code dimension.  At
+    q = 2 a code is the packed word (k is at most 62 in a
+    :class:`DefiningSet`), a class value the parity of f & x, and
+    :func:`_ranks_gf2` reduces the words; elsewhere the table kernel
+    :func:`ranks` reduces element indices, the codes' digits.  The mask
+    stage of is_cutting at q <= 4 does not use it."""
     if gf.q != 2:
         return (_digits(codes, gf.q, k), partial(functional_values, gf),
                 partial(ranks, gf))
@@ -377,25 +380,162 @@ def _kernel(gf: GF, k: int, codes: np.ndarray):
     return codes[:, None], values, rank_of
 
 
-def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff D meets every hyperplane through the origin in a set that
-    spans that (k-1)-dimensional hyperplane.
+def _bit_planes(q: int, digits: np.ndarray) -> list[np.ndarray]:
+    """The bit planes of element indices, q <= 4, as bool arrays of their
+    shape: the index itself at q = 2, index == 1 and index == 2 at q = 3,
+    and the two bits of the index (the coefficients of 1 and x) at q = 4.
+    In every case the index is the sum of the planes' bits, plane p's
+    weighted by 1 << p."""
+    if q == 3:
+        return [digits == 1, digits == 2]
+    return [(digits >> b & 1).astype(bool)
+            for b in range((q - 1).bit_length())]
 
-    Blocks of classes are row-reduced together on at most k+8 points of
-    each hyperplane, drawn from a prefix of D in a fixed shuffled order.
-    A class that falls short of rank k-1 there is reduced again on all of
-    its points, one class at a time, so memory stays bounded.
 
-    Both routes visit the same blocks of class codes; :func:`_kernel`
-    picks the route.
+def _pack(bits: np.ndarray, words: int) -> np.ndarray:
+    """Bits (..., P), P <= 64 * words, as uint64 words (words, ...): bit i
+    of word j holds position 64j + i, and the positions past P are zero."""
+    out = np.zeros(bits.shape[:-1] + (8 * words,), dtype=np.uint8)
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    out[..., : packed.shape[-1]] = packed
+    return np.moveaxis(out.view("<u8"), -1, 0)
+
+
+def _gf3_add(xs: list[np.ndarray], ys: list[np.ndarray]) -> list[np.ndarray]:
+    """Sum over GF(3) of elements held as (== 1, == 2) bit planes, word by
+    word (Boothby and Bradshaw 2009)."""
+    (x1, x2), (y1, y2) = xs, ys
+    t = (x1 | y2) ^ (x2 | y1)
+    return [(x2 | y2) ^ t, (x1 | y1) ^ t]
+
+
+def _plane_ops(gf: GF) -> tuple[Callable, Callable]:
+    """scale(s, xs) and add(xs, ys) over GF(q), q <= 4, on elements held as
+    the :func:`_bit_planes` xs and ys of uint64 words, for element indices
+    s that broadcast against a plane's trailing axes.
+
+    Scaling by s sends the bits of plane p to plane b when s times the
+    element 1 << p has plane b's bit (at q = 2 and 4, where the planes are
+    coordinates over GF(2)) or is the value b + 1 (at q = 3, where they
+    are value indicators and scaling by 2 swaps them); both are read from
+    the field's mul table.  Addition is XOR of the planes at q = 2 and 4,
+    and :func:`_gf3_add` at q = 3.
     """
-    gf, k = d.field, d.dim
-    check_budget(gf.q, k, len(d), budget)
-    # a shuffled prefix gives each hyperplane about 2(k+8) of its points
-    # (lex order crowds them onto a few), and k+8 random points of a
-    # hyperplane span it with probability about 1 - q^-9
-    order = np.random.default_rng(0).permutation(len(d))
-    pts, values, rank_of = _kernel(gf, k, d.codes[order])
+    q = gf.q
+    planes = range((q - 1).bit_length())
+    lands = ((lambda v, b: v == b + 1) if q == 3
+             else (lambda v, b: v >> b & 1 == 1))
+    lift = np.array([[[lands(gf.mul(s, 1 << p), b) for b in planes]
+                      for p in planes] for s in range(q)])
+
+    def scale(s, xs):
+        to = lift[s]  # (..., P, P)
+        return [reduce(np.bitwise_xor, (x * to[..., p, b]
+                                        for p, x in enumerate(xs)))
+                for b in planes]
+
+    def add(xs, ys):
+        return [x ^ y for x, y in zip(xs, ys)]
+
+    return scale, _gf3_add if q == 3 else add
+
+
+def _mask_ranks(gf: GF, planes: list[np.ndarray]) -> np.ndarray:
+    """Rank over GF(q), q <= 4, of each matrix in a stack held column by
+    column as bit masks: the :func:`_bit_planes` of the stack, each a
+    (w, C, k) uint64 array whose bit i of word j at [c, l] holds that
+    plane's bit of the entry in row 64j + i, column l of matrix c.
+
+    Step j takes as pivot the lowest row where column j is nonzero and
+    adds to every later column the multiple of column j that clears that
+    row's entry, by :func:`_plane_ops`.  The rank is the number of steps
+    that found a pivot.
+    """
+    cols = [np.array(p, dtype=np.uint64) for p in planes]
+    w, c, k = cols[0].shape
+    scale, add = _plane_ops(gf)
+    units = gf.neg_table[1 << np.arange(len(cols))]  # -(1 << p)
+    found = np.zeros(c, dtype=np.int64)
+    every = np.arange(c)
+    for j in range(k):
+        col = [x[:, :, j] for x in cols]  # (w, C)
+        nonzero = reduce(np.bitwise_or, col)
+        # the first nonzero word of each column and its lowest set bit
+        at = ((nonzero != 0).argmax(axis=0), every) if w > 1 else 0
+        low = nonzero[at]
+        piv = low & -low
+        found += low != 0
+        # clear[p]: the multiple of column j that clears a pivot entry of
+        # 1 << p, -(1 << p) / (column j's pivot entry) times column j
+        pivot = sum(((x[at] & piv) != 0) << b for b, x in enumerate(col))
+        inv = gf.inv_table[pivot]
+        clear = [scale(gf.mul_table[u, inv], col) for u in units]
+        rest = [x[:, :, j + 1:] for x in cols]  # (w, C, k - j - 1) views
+        on = [(x[at] & piv[:, None]) != 0 for x in rest]
+        multiple = [reduce(np.bitwise_xor, (cl[b][..., None] * o
+                                            for cl, o in zip(clear, on)))
+                    for b in range(len(cols))]
+        for x, y in zip(rest, add(rest, multiple)):
+            x[...] = y
+    return found
+
+
+def _window_words(q: int, k: int) -> int:
+    """Words w of the mask stage's window, the first 64w points of D in
+    :func:`_first_short_class`'s order: the fewest for which a class's
+    expected zeros in it, 64w/q, exceed k - 1 by four binomial standard
+    deviations."""
+    w = 1
+    while 64 * w / q - (k - 1) < 4 * math.sqrt(64 * w / q * (1 - 1 / q)):
+        w += 1
+    return w
+
+
+def _mask_stage(gf: GF, k: int,
+                codes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The first stage of :func:`_first_short_class` at q <= 4: each block
+    of class codes (C,) with the rank of each class's sample, every one of
+    its zeros among the first 64w points of codes, w from
+    :func:`_window_words`.
+
+    The window's coordinates are held as bit planes, one word per column;
+    a class's values there are summed coordinate by coordinate in those
+    planes, and column l of its sample is its zero mask ANDed with
+    coordinate l, so building every sample costs O(C k w) words.
+    """
+    q = gf.q
+    scale, add = _plane_ops(gf)
+    words = _window_words(q, k)
+    window = _digits(codes[: 64 * words], q, k)
+    # (w, k) each; positions past the window are zero, so though every
+    # class vanishes there, they add only zero rows to its sample
+    coords = [_pack(x.T, words) for x in _bit_planes(q, window)]
+    for fs in _class_blocks(q, k):
+        f = _digits(fs, q, k)
+        value = [np.zeros((words, len(fs)), dtype=np.uint64) for _ in coords]
+        for j in range(k):
+            value = add(value, scale(f[:, j], [x[:, j, None] for x in coords]))
+        zero = ~reduce(np.bitwise_or, value)  # (w, C)
+        yield fs, _mask_ranks(gf, [zero[..., None] & x[:, None]
+                                   for x in coords])
+
+
+def _row_stage(gf: GF, k: int, pts: np.ndarray, values: Callable,
+               rank_of: Callable) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The first stage of :func:`_first_short_class` at q >= 5: each block
+    of class codes with the rank of each class's sample, its first k + 8
+    zeros among the first 2q(k + 8) of the :func:`_kernel` rows pts,
+    row-reduced by rank_of.
+
+    Both stages are generators, so a block's arrays live until the next
+    block's replace them.  Freed all at once, at the end of a call per
+    block, they let the allocator hand their pages back, and faulting
+    them in again made this stage about 15% slower at q = 7 (three times
+    the page faults; 2-vCPU VM, numpy 2.4).
+    """
+    # such a prefix gives each hyperplane about 2(k+8) of its points, and
+    # k+8 random points of a hyperplane span it with probability about
+    # 1 - q^-9
     rows = k + 8
     prefix = pts[: 2 * gf.q * rows]
     for fs in _class_blocks(gf.q, k):
@@ -403,9 +543,47 @@ def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
         # each class's first `rows` points in the prefix, zero-padded
         idx = np.argsort(vals != 0, axis=1, kind="stable")[:, :rows]
         on = np.take_along_axis(vals == 0, idx, axis=1)
-        short = rank_of(pts[idx] * on[..., None]) < k - 1
-        for f in fs[short]:
+        yield fs, rank_of(pts[idx] * on[..., None])
+
+
+def _first_short_class(d: DefiningSet, budget: int) -> Optional[int]:
+    """The code of the first class, in class order, whose hyperplane D
+    fails to span, or None when D is cutting.
+
+    Blocks of classes are ranked together on a sample of each hyperplane's
+    points, drawn from D in a fixed shuffled order (lex order crowds a
+    hyperplane's points onto a few), by :func:`_mask_stage` at q <= 4 and
+    :func:`_row_stage` above.  A class whose sample falls short of rank
+    k-1 is reduced again on all of its points, one class at a time, by
+    :func:`_kernel`'s rank function, so memory stays bounded.  A failing
+    class falls short on every sample, so the sample decides only how
+    many classes take that exact pass, never which class is returned.
+    """
+    gf, k = d.field, d.dim
+    check_budget(gf.q, k, len(d), budget)
+    codes = d.codes[np.random.default_rng(0).permutation(len(d))]
+    pts, values, rank_of = _kernel(gf, k, codes)
+    blocks = (_mask_stage(gf, k, codes) if gf.q <= 4
+              else _row_stage(gf, k, pts, values, rank_of))
+    for fs, sample_ranks in blocks:
+        for f in fs[sample_ranks < k - 1]:
             plane = pts[values(f[None], pts)[0] == 0]
             if rank_of(plane[None])[0] < k - 1:
-                return False
-    return True
+                return int(f)
+    return None
+
+
+def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
+    """True iff D meets every hyperplane through the origin in a set that
+    spans that (k-1)-dimensional hyperplane: iff
+    :func:`_first_short_class` finds no class that falls short.
+
+    At q <= 4 each class is first ranked on all of its zeros among the
+    first 64w points of D in a fixed shuffled order, as bit masks; w is
+    the fewest words for which a class's expected zeros there, 64w/q,
+    exceed k - 1 by four binomial standard deviations, so a class whose
+    hyperplane D spans rarely falls short and takes the exact pass.  At
+    q >= 5 each class is row-reduced on its first k + 8 zeros among the
+    first 2q(k + 8) points.
+    """
+    return _first_short_class(d, budget) is None

@@ -1,8 +1,9 @@
 """Shared oracles, kept independent of the library's code paths: the
 brute-force ones count by direct enumeration over field tuples, and the
 two block-system counts below are identities that only tests use.
-point_set, which builds a literal set through the library's encoding, is
-the one helper that is not an oracle."""
+point_set, which builds a literal set through the library's encoding, and
+first_short_class, which decodes is_cutting's first failing class, are
+the helpers that are not oracles."""
 
 import itertools
 
@@ -11,7 +12,7 @@ import pytest
 
 from mincodes.combinat import count_A, exact_div, phi, psi
 from mincodes.field import field_of_order
-from mincodes.pointset import DefiningSet, _codes
+from mincodes.pointset import DefiningSet, _codes, _digits, _first_short_class
 
 
 def point_set(gf, k, pts):
@@ -19,6 +20,14 @@ def point_set(gf, k, pts):
     indices, in their order."""
     rows = np.array(pts, dtype=np.int64).reshape(len(pts), k)
     return DefiningSet(field=gf, dim=k, codes=_codes(rows, gf.q))
+
+
+def first_short_class(d):
+    """The first class, as a tuple of element indices, whose hyperplane
+    is_cutting finds D fails to span, or None when D is cutting."""
+    code = _first_short_class(d, budget=10 ** 9)
+    return None if code is None else tuple(
+        _digits(np.int64(code), d.field.q, d.dim).tolist())
 
 
 def brute_sum_count(s, q, target, coeffs=None):

@@ -7,6 +7,7 @@ the pytest verdict and the printed line always agree.
 
 import math
 import time
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,7 +44,7 @@ from mincodes.spectra import (
     tilde_transfer,
 )
 from conftest import brute_block_system_count, brute_sum_count, \
-    count_A_closed, count_A_nonzero_gamma
+    count_A_closed, count_A_nonzero_gamma, first_short_class
 
 EXAMPLES = settings(max_examples=200, deadline=None)
 
@@ -264,14 +265,15 @@ def test_criterion_9_cutting_equals_minimality():
     verdicts: dict = {}
     tilde_checked = set()
     instances = 0
-    # seconds spent in each check, reported on the acceptance line
-    spent = {"is_cutting": 0.0, "is_cutting tilde": 0.0,
-             "is_minimal_direct": 0.0}
+    # seconds spent in each check, per q for is_cutting, reported on the
+    # acceptance line
+    spent = {"is_cutting": Counter(), "is_cutting tilde": Counter(),
+             "is_minimal_direct": Counter()}
 
-    def timed(name, check, *args):
+    def timed(name, q, check, *args):
         t0 = time.perf_counter()
         out = check(*args, budget=budget)
-        spent[name] += time.perf_counter() - t0
+        spent[name][q] += time.perf_counter() - t0
         return out
 
     for family, ctor in sorted(FAMILIES.items()):
@@ -285,14 +287,19 @@ def test_criterion_9_cutting_equals_minimality():
                     instances += 1
                     key = (q, d.dim, d.codes.tobytes())
                     if key not in verdicts:
-                        cut = timed("is_cutting", is_cutting, d)
-                        minimal = timed("is_minimal_direct",
-                                        is_minimal_direct, d).minimal
-                        assert cut == minimal, (family, q, k, h)
+                        cut = timed("is_cutting", q, is_cutting, d)
+                        res = timed("is_minimal_direct", q,
+                                    is_minimal_direct, d)
+                        assert cut == res.minimal, (family, q, k, h)
+                        # the first hyperplane D fails to span holds the
+                        # smallest containing codeword of a violating pair
+                        if not cut:
+                            assert first_short_class(d) == res.witness[0], (
+                                family, q, k, h)
                         verdicts[key] = cut
                         if cut and key not in tilde_checked:
                             t = tilde_join(d, d)
-                            assert timed("is_cutting tilde", is_cutting,
+                            assert timed("is_cutting tilde", q, is_cutting,
                                          t), (family, q, k, h)
                             tilde_checked.add(key)
                 k += 1
@@ -302,9 +309,16 @@ def test_criterion_9_cutting_equals_minimality():
     # family 2 in characteristic 2, outside the proved hypotheses
     assert non_cutting == 4
     elapsed = time.perf_counter() - start
+
+    def split(name):
+        by_q = spent[name]
+        if name == "is_minimal_direct":
+            return f"{name} {sum(by_q.values()):.1f}s"
+        return f"{name} {sum(by_q.values()):.1f}s (" + ", ".join(
+            f"q={q} {t:.2f}s" for q, t in sorted(by_q.items())) + ")"
+
     _announce(9, f"{instances} instances ({len(verdicts)} distinct sets): "
                  f"is_cutting == is_minimal_direct everywhere "
-                 f"({non_cutting} agreed non-minimal), tilde joins of "
-                 f"cutting sets cutting, in {elapsed:.1f}s ("
-                 + ", ".join(f"{name} {t:.1f}s" for name, t in spent.items())
-                 + ")")
+                 f"({non_cutting} agreed non-minimal, on the same first "
+                 f"class), tilde joins of cutting sets cutting, in "
+                 f"{elapsed:.1f}s (" + ", ".join(map(split, spent)) + ")")

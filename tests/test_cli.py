@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -194,19 +195,35 @@ def test_verify_one_family2_witness_check():
     (("verify-all", "--qs", "2,300", "--max-points", "10"), None),
     (("verify-all", "--qs", "1"), None),
     (("verify-all", "--qs", "2,2", "--max-points", "8"), None),
+    (("verify-all", "--qs", "100000007", "--max-points", "10"), None),
 ], ids=["qs-not-integer", "budget-env-not-integer", "negative-budget",
         "budget-past-2^62", "formula-q-6", "max-points-0",
         "max-points-negative", "output-in-a-missing-directory",
         "output-a-directory", "qs-300", "qs-6-below-max-points",
-        "qs-300-after-2", "qs-1", "qs-repeated"])
+        "qs-300-after-2", "qs-1", "qs-repeated", "qs-prime-past-the-cap"])
 def test_bad_input_exits_2_with_one_line(argv, env, monkeypatch, capsys):
+    # refused at once: a prime order past the cap is never trial-divided
     if env is None:
         monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
     else:
         monkeypatch.setenv(cli.BUDGET_ENV, env)
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_formula_at_a_large_prime_order(capsys):
+    # q = 10^9 + 7 is proved prime by trial division up to its square
+    # root, not up to q, so the closed form prints within a second
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "weights", "--method", "formula",
+                       "--family", "4", "--q", "1000000007", "--k", "3",
+                       "--h", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert json.loads(out)["formula"]["q"] == 1000000007
 
 
 def test_help_ignores_a_bad_budget_env(monkeypatch, capsys):

@@ -34,6 +34,7 @@ from conftest import (
     brute_is_minimal,
     brute_rank,
     brute_weight_distribution,
+    first_short_class,
     point_set,
 )
 
@@ -422,9 +423,13 @@ def test_cutting_equals_minimality_on_spanning_sets(q):
             for _ in range(6)]
     seen = set()
     for d in sets:
-        cut, minimal = is_cutting(d), is_minimal_direct(d).minimal
+        cut, res = is_cutting(d), is_minimal_direct(d)
         if dimension(d) == d.dim:
-            assert cut == minimal, d
+            assert cut == res.minimal, d
+            # and the first hyperplane D fails to span is the smallest
+            # containing class of a violating pair
+            if not cut:
+                assert first_short_class(d) == res.witness[0], d
             seen.add(cut)
         elif d.dim >= 2:
             assert not cut, d

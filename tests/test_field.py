@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from mincodes import field
 from mincodes.field import (
     MAX_ORDER,
     FieldError,
@@ -101,6 +102,19 @@ def test_field_of_order():
     assert field_of_order(8).m == 3
     with pytest.raises(FieldError):
         field_of_order(6)
+    # an order past the cap is refused before it is factored
+    with pytest.raises(FieldError, match="exceeds cap 256"):
+        field_of_order(1000000007)
+
+
+def test_field_of_order_checks_the_cap_before_factoring(monkeypatch):
+    def refuse(q):
+        raise AssertionError(f"{q} factored")
+
+    monkeypatch.setattr(field, "factor_prime_power", refuse)
+    for q in (257, 2 ** 61 - 1):
+        with pytest.raises(FieldError, match=f"field order {q} exceeds cap"):
+            field_of_order(q)
 
 
 def test_factor_prime_power():
@@ -108,7 +122,10 @@ def test_factor_prime_power():
     assert factor_prime_power(8) == (2, 3)
     assert factor_prime_power(7) == (7, 1)
     assert factor_prime_power(256) == (2, 8)
-    for q in (6, 12, 1, 0, -4):
+    # trial division stops at isqrt(q): what is left is prime
+    assert factor_prime_power(1000000007) == (1000000007, 1)
+    assert factor_prime_power(10007 ** 2) == (10007, 2)
+    for q in (6, 12, 1, 0, -4, 10007 * 10009, 2 * 10007 ** 2):
         with pytest.raises(FieldError):
             factor_prime_power(q)
 

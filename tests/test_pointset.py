@@ -22,7 +22,13 @@ from mincodes.pointset import (
     is_scale_invariant,
     tilde_join,
 )
-from conftest import brute_is_cutting, brute_points, brute_rank, point_set
+from conftest import (
+    brute_is_cutting,
+    brute_points,
+    brute_rank,
+    first_short_class,
+    point_set,
+)
 
 
 def fam1_pred(gf, pt, h):
@@ -303,6 +309,70 @@ def test_ranks_gf2_match_the_oracle():
             brute_rank(gf, m.tolist()) for m in stacks]
 
 
+def _mask_stacks(q, words):
+    """(12, r, k) stacks of element indices with r up to 64 words rows:
+    no rows, zero columns, k = 1, and rank-deficient stacks whose last
+    column is a multiple of the first or whose rows repeat."""
+    gf = field_of_order(q)
+    rng = np.random.default_rng(10 * q + words)
+    for k in range(1, 7):
+        for r in sorted({0, 1, k + 1, 64 * words - 3, 64 * words}):
+            stacks = rng.integers(0, q, (12, r, k))
+            stacks[::4] *= rng.random((3, r, 1)) < 0.2  # mostly zero rows
+            stacks[1::4, :, 0] = 0
+            stacks[2::4, :, -1] = gf.mul_table[q - 1, stacks[2::4, :, 0]]
+            stacks[3::4, 1::2] = stacks[3::4, :1]
+            yield stacks
+
+
+def _mask_planes(q, stacks):
+    """The bit planes of stacks (C, r, k), packed one column at a time
+    into (w, C, k) uint64 arrays: bit i of word j holds row 64j + i."""
+    c, r, k = stacks.shape
+    words = max(1, -(-r // 64))
+    out = []
+    for plane in pointset._bit_planes(q, stacks):
+        packed = np.zeros((words, c, k), dtype=np.uint64)
+        for m, row, col in zip(*np.nonzero(plane)):
+            packed[row // 64, m, col] |= np.uint64(1) << np.uint64(row % 64)
+        out.append(packed)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("words", [1, 2, 3])
+def test_mask_ranks_match_the_oracle(q, words):
+    gf = field_of_order(q)
+    for stacks in _mask_stacks(q, words):
+        planes = _mask_planes(q, stacks)
+        assert planes[0].shape[0] == words or len(stacks[0]) < 64
+        assert pointset._mask_ranks(gf, planes).tolist() == [
+            brute_rank(gf, m.tolist()) for m in stacks]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_plane_ops_match_the_field_tables(q):
+    # every pair of elements, one pair per bit of a word
+    gf = field_of_order(q)
+    a, b = (x.ravel() for x in np.indices((q, q)))
+
+    def packed(xs):  # one uint64 word per plane, bit i from element i
+        return [np.array(int(sum(int(v) << i for i, v in enumerate(x))),
+                         dtype=np.uint64) for x in pointset._bit_planes(q, xs)]
+
+    def unpacked(planes):  # the element indices back, from the weights
+        return [sum((int(p) >> i & 1) << b for b, p in enumerate(planes))
+                for i in range(q * q)]
+
+    scale, add = pointset._plane_ops(gf)
+    assert unpacked(packed(a)) == a.tolist()
+    assert unpacked(add(packed(a), packed(b))) == gf.add_table[a, b].tolist()
+    for s in range(q):
+        assert unpacked(scale(s, packed(a))) == gf.mul_table[s, a].tolist()
+    if q == 3:  # negation, scaling by 2, swaps the planes
+        assert scale(2, packed(a)) == packed(a)[::-1]
+
+
 def _line_plus_one(q, with_completer):
     """AG(3,q) points: the plane x_1 = 1 (which spans every hyperplane
     but x_1 = 0), the q-1 points of the line through (0,0,1), and, when
@@ -400,26 +470,39 @@ def test_packed_is_cutting_second_exact_stage(monkeypatch):
     assert single == [127]
 
 
-@pytest.mark.parametrize("q, kernel, unused", [
-    (2, "_ranks_gf2", "ranks"), (3, "ranks", "_ranks_gf2")])
-def test_is_cutting_route(q, kernel, unused, monkeypatch):
-    # q = 2 row-reduces packed words, every other q element indices, in
-    # is_cutting and in the code dimension alike
+@pytest.mark.parametrize("q, stage, exact, unused", [
+    (2, "_mask_ranks", "_ranks_gf2", ("ranks",)),
+    (3, "_mask_ranks", "ranks", ("_ranks_gf2",)),
+    (4, "_mask_ranks", "ranks", ("_ranks_gf2",)),
+    (5, "ranks", "ranks", ("_mask_ranks", "_ranks_gf2")),
+], ids=["2-_ranks_gf2-ranks", "3-ranks-_ranks_gf2", "4-ranks-_ranks_gf2",
+        "5-ranks-_mask_ranks-_ranks_gf2"])
+def test_is_cutting_route(q, stage, exact, unused, monkeypatch):
+    # is_cutting's first stage ranks blocks of classes as bit masks at
+    # q <= 4 and as rows of element indices at q >= 5; its exact pass and
+    # the code dimension rank one matrix of rows, packed words at q = 2
     def refuse(*args):
-        raise AssertionError(f"{unused} called at q = {q}")
+        raise AssertionError(f"{args} reached an unused kernel at q = {q}")
 
-    monkeypatch.setattr(pointset, unused, refuse)
-    calls = []
-    real = getattr(pointset, kernel)
-    monkeypatch.setattr(pointset, kernel,
-                        lambda *args: calls.append(1) or real(*args))
+    for name in unused:
+        monkeypatch.setattr(pointset, name, refuse)
+    calls = []  # (kernel, matrices) per call
+    for name in {stage, exact}:
+        def spy(*args, real=getattr(pointset, name), name=name):
+            arg = next(a for a in args if isinstance(a, (list, np.ndarray)))
+            calls.append((name, arg[0].shape[1] if isinstance(arg, list)
+                          else len(arg)))
+            return real(*args)
+
+        monkeypatch.setattr(pointset, name, spy)
     d = family4(field_of_order(q), 4, 3)
     assert is_cutting(d) and is_cutting(tilde_join(d, d))
     assert not is_cutting(family4(field_of_order(q), 4, 1, relaxed=True))
-    assert calls
+    assert {name for name, matrices in calls if matrices > 1} == {stage}
+    assert (exact, 1) in calls  # the exact pass of the failing class
     calls.clear()
     assert dimension(d) == 4 and dimension(tilde_join(d, d)) == 5
-    assert calls == [1, 1]
+    assert calls == [(exact, 1), (exact, 1)]
 
 
 @pytest.mark.parametrize("q, k", [(2, 20), (3, 12)])
@@ -441,26 +524,45 @@ def test_is_cutting_builds_class_blocks_lazily(q, k, monkeypatch):
     assert asked == [pointset._CHUNK]
 
 
-def test_packed_is_cutting_matches_the_table_kernel(monkeypatch):
-    # k = 10 and 11, and 11 and 12 for the tilde joins, span 2 to 8
-    # blocks of _CHUNK = 512 classes; h = 2 gives non-cutting sets
-    gf = field_of_order(2)
+def _matches_the_table_kernel(q, ks, words, monkeypatch):
+    """The first failing class of family sets at each k in ks and of their
+    tilde joins, as found by is_cutting's route at q and by the q >= 5
+    stage and kernel; words is the mask stage's window at each k."""
+    assert [pointset._window_words(q, k) for k in ks] == words
+    gf = field_of_order(q)
     sets = []
     for f, ctor in sorted(FAMILIES.items()):
-        for k in (10, 11):
-            for h in sorted({2, FAMILY_H_MIN[f], k}):
-                d = ctor(gf, k, h, relaxed=True)
-                sets += [d, tilde_join(d, d)]
-    packed = [is_cutting(d) for d in sets]
+        for k in ks:
+            for h in sorted({2, FAMILY_H_MIN[f], k}):  # 2: non-cutting
+                if h <= k:
+                    d = ctor(gf, k, h, relaxed=True)
+                    sets += [d, tilde_join(d, d)]
+    routed = [first_short_class(d) for d in sets]
 
-    def table(gf, k, codes):  # the q > 2 choice, at q = 2
+    def table(gf, k, codes):  # the q > 2 kernel, at every q
         return (pointset._digits(codes, gf.q, k),
                 partial(pointset.functional_values, gf),
                 partial(pointset.ranks, gf))
 
+    def rows(gf, k, codes):  # the q >= 5 stage, at q <= 4
+        return pointset._row_stage(gf, k, *table(gf, k, codes))
+
     monkeypatch.setattr(pointset, "_kernel", table)
-    assert packed == [is_cutting(d) for d in sets]
-    assert set(packed) == {True, False}
+    monkeypatch.setattr(pointset, "_mask_stage", rows)
+    assert routed == [first_short_class(d) for d in sets]
+    assert None in routed and any(routed)
+
+
+def test_packed_is_cutting_matches_the_table_kernel(monkeypatch):
+    # k = 10 and 11, and 11 and 12 for the tilde joins, span 2 to 8
+    # blocks of _CHUNK = 512 classes
+    _matches_the_table_kernel(2, (10, 11), [1, 1], monkeypatch)
+
+
+@pytest.mark.parametrize("q, ks", [(3, (7, 8)), (4, (3, 4))])
+def test_mask_stage_matches_the_table_kernel(q, ks, monkeypatch):
+    # the window is one word at the smaller k and two at the larger
+    _matches_the_table_kernel(q, ks, [1, 2], monkeypatch)
 
 
 def test_is_cutting_with_an_empty_hyperplane():
