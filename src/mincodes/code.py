@@ -11,7 +11,8 @@ adds the multiplicities of those off its hyperplane, or reads n minus
 the points on its hyperplane from one exact count over all functionals
 (k steps, each q^2 adds of contiguous int32 blocks), whichever a cost
 model fitted to timings of both routes says is faster.  Minimality is
-decided from the same class weights.
+decided from the same class weights, by a scan of the projective lines or,
+at q = 2, by an XOR convolution of the weight levels.
 """
 
 from __future__ import annotations
@@ -273,6 +274,11 @@ def is_minimal_direct(
     increasing order of b, their smallest class.  The witness
     (containing, contained) is the lexicographically smallest violating
     pair, a line's smallest heaviest class and its smallest other class.
+
+    At q = 2 the same test is an XOR convolution of the weight levels
+    (:func:`_xor_line_test`), taken when it touches fewer cells than the
+    scan; it gives the same verdict and witness, and the budget charge
+    for the scan bounds it too.
     """
     _check_scan_budget(d, budget)
     return _minimality(d.field, d.dim, class_weights(d, budget))
@@ -282,15 +288,31 @@ def _check_scan_budget(d: DefiningSet, budget: int) -> None:
     """Refuse the class pass plus line scan of :func:`is_minimal_direct`
     when over budget.  The scan visits q of the q+1 classes on each of
     the c(c-1)/(q(q+1)) lines through the c classes, so each class is
-    charged the larger of n and (c-1)/(q+1), rounded up."""
+    charged the larger of n and (c-1)/(q+1), rounded up.  At q = 2 the
+    XOR convolution runs only when it touches fewer cells than the scan,
+    so the charge bounds whichever route runs."""
     q = d.field.q
     c = functional_count(q, d.dim)
     check_budget(q, d.dim, max(len(d), -(-(c - 1) // (q + 1))), budget)
 
 
 def _minimality(gf: GF, k: int, wts: np.ndarray) -> MinimalityResult:
+    """The line test of :func:`is_minimal_direct` over the class weights
+    wts (c,), in class order.  At q = 2 and k <= _XOR_MAX_K it is
+    :func:`_xor_line_test` when that touches fewer cells,
+    :func:`_xor_cells`, than the c(c-1)/3 the scan visits; otherwise, and
+    at every q > 2, it is :func:`_line_scan`."""
+    c = len(wts)
+    if gf.q == 2 and k <= _XOR_MAX_K:
+        levels, pairs = _level_pairs(wts)
+        if _xor_cells(k, levels, pairs) < c * (c - 1) // 3:
+            return _xor_line_test(k, wts, levels, pairs)
+    return _line_scan(gf, k, wts)
+
+
+def _line_scan(gf: GF, k: int, wts: np.ndarray) -> MinimalityResult:
     """The line scan of :func:`is_minimal_direct` over the class weights
-    wts (c,), in class order."""
+    wts (c,), in class order, at any q."""
     q, c = gf.q, len(wts)
     # weight -1: a line with a zero class never sums to q times its max
     wts = np.where(wts > 0, wts, -1)
@@ -321,6 +343,86 @@ def _minimality(gf: GF, k: int, wts: np.ndarray) -> MinimalityResult:
     if best == c * c:
         return MinimalityResult(True)
     pair = _digits(_class_codes(q, k, np.array(divmod(best, c))), q, k)
+    return MinimalityResult(False, tuple(map(tuple, pair.tolist())))
+
+
+#: the largest k at which :func:`_xor_line_test` is exact in int64: a
+#: level's transform is at most 2^k in size, a sum of products of two at
+#: most (2^k)^2, and the inverse adds 2^k of those, so at most 2^(3k)
+_XOR_MAX_K = 20
+
+
+def _level_pairs(wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positive weight levels (L,) of wts, increasing, and the pairs
+    (P, 2) of indices i <= j of levels whose sum is a level."""
+    levels = np.unique(wts[wts > 0])
+    sums = levels[:, None] + levels
+    i, j = np.nonzero(np.isin(sums, levels) & (levels[:, None] <= levels))
+    return levels, np.stack([i, j], axis=1)
+
+
+def _xor_cells(k: int, levels: np.ndarray, pairs: np.ndarray) -> int:
+    """The cells :func:`_xor_line_test` touches at q = 2, each a row of
+    2^k: k + 1 per level it transforms (built, then k passes) and per
+    sum it transforms back (k passes, then read), one per pair (a
+    product) and one for the witness."""
+    rows = len(np.unique(pairs)) + len(np.unique(levels[pairs].sum(axis=1)))
+    return 2 ** k * ((k + 1) * rows + len(pairs) + 1)
+
+
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """The unnormalized Walsh-Hadamard transform of each row of a
+    (R, 2^k) int64, in place: sum over x of (-1)^(popcount(u & x)) a[x]
+    at u.  Applied twice it multiplies by 2^k."""
+    h = a.shape[1] // 2
+    while h:
+        b = a.reshape(len(a), -1, 2, h)  # a view: the pairs (x, x ^ h)
+        low = b[:, :, 0].copy()
+        b[:, :, 0] += b[:, :, 1]
+        low -= b[:, :, 1]
+        b[:, :, 1] = low
+        h //= 2
+    return a
+
+
+def _xor_line_test(k: int, wts: np.ndarray, levels: np.ndarray,
+                   pairs: np.ndarray) -> MinimalityResult:
+    """The line test at q = 2 by XOR convolution of weight levels (Ding,
+    Heng and Zhou, "Minimal binary linear codes", 2018): the answer of
+    :func:`_line_scan`, witness included, for the levels and pairs of
+    :func:`_level_pairs`.
+
+    A line holds f, g and f+g, and w(g) + w(f+g) >= w(f), with equality
+    exactly when supp(g) lies in supp(f).  So f contains another nonzero
+    codeword exactly when some g has w(g), w(f+g) > 0 and w(g) + w(f+g) =
+    w(f).  For levels a <= b, the number of g with w(g) = a and w(f+g) = b
+    is the XOR convolution of the indicators of the two levels at f.  The
+    convolutions of the pairs with the same sum are added in the transform
+    domain and transformed back once per sum, one sum at a time, all in
+    exact int64 (k <= _XOR_MAX_K).  The witness is the smallest such f, as
+    at q = 2 class order is code order, and then the smallest g, the
+    smaller class of the pair g, f+g, found in one pass over the 2^k
+    functionals.
+    """
+    if not len(pairs):
+        return MinimalityResult(True)
+    w = np.zeros(2 ** k, dtype=np.int64)  # the weight at each code
+    w[1:] = wts  # at q = 2 the class at position i has code i + 1
+    used, at = np.unique(pairs, return_inverse=True)
+    at = at.reshape(pairs.shape)
+    hat = _walsh_hadamard((w == levels[used][:, None]).astype(np.int64))
+    sums = levels[pairs].sum(axis=1)
+    hits = []
+    for s in np.unique(sums):
+        acc = sum(hat[i] * hat[j] for i, j in at[sums == s])
+        counts = _walsh_hadamard(acc[None])[0]  # 2^k times the g counted
+        hits.extend(np.flatnonzero((w == s) & (counts > 0))[:1].tolist())
+    if not hits:
+        return MinimalityResult(True)
+    f = min(hits)
+    g = np.arange(2 ** k)
+    inner = (w > 0) & (w[g ^ f] > 0) & (w + w[g ^ f] == w[f])
+    pair = _digits(np.array([f, np.flatnonzero(inner)[0]]), 2, k)
     return MinimalityResult(False, tuple(map(tuple, pair.tolist())))
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import Sequence
 
 import numpy as np
@@ -149,20 +148,62 @@ def make_field(p: int, m: int = 1) -> GF:
             pass
 
 
+#: the first 13 primes: as Miller-Rabin bases they decide primality of
+#: every n below _MR_LIMIT (Sorenson and Webster, "Strong pseudoprimes to
+#: twelve prime bases", Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: about 3.3 * 10^24, the least strong pseudoprime to all of _MR_BASES
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin with _MR_BASES, which is
+    exact for n < _MR_LIMIT.  A larger n that passes every base is
+    refused with FieldError, since no base proves it prime."""
+    if n < 2:
+        return False
+    if n in _MR_BASES or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:  # a^(n-1) != 1, or 1 has a square root other than +-1
+            return False
+    if n >= _MR_LIMIT:
+        raise FieldError(f"{n} is past {_MR_LIMIT}, where primality is "
+                         f"not decided")
+    return True
+
+
+def _root(q: int, m: int) -> int:
+    """The integer p with p^m = q >= 1, or 0 when there is none: Newton's
+    iteration in integers, from above, ends at the floor of the root."""
+    x = 1 << -(-q.bit_length() // m)  # at least the root
+    while (y := ((m - 1) * x + q // x ** (m - 1)) // m) < x:
+        x = y
+    return x if x ** m == q else 0
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """(p, m) with q = p^m and p prime; FieldError for any other q.
 
-    Trial division runs only up to isqrt(q): a q >= 2 with no divisor
-    there is prime.  So it costs O(sqrt(q)) steps, which is still about
-    3 * 10^9 for a prime near 10^19.
+    The candidates p are the exact integer m-th roots of q, for m from
+    log2(q) down to 1, and p is proved prime by :func:`_is_prime`.  So it
+    costs O(log q) modular powers.  Primality is decided below about
+    3.3 * 10^24; a q whose root p is past that and passes every base is
+    refused with FieldError.
     """
-    if q >= 2:
-        p = next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)
-        m, rest = 0, q
-        while rest % p == 0:  # the smallest divisor above 1 is prime
-            rest //= p
-            m += 1
-        if rest == 1:
+    for m in range(max(q, 1).bit_length() - 1, 0, -1):
+        p = _root(q, m)
+        if p >= 2 and _is_prime(p):
             return p, m
     raise FieldError(f"{q} is not a prime power")
 

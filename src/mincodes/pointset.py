@@ -283,11 +283,13 @@ def _class_codes(q: int, k: int, positions: np.ndarray) -> np.ndarray:
 _CHUNK = 512
 
 
-def _class_blocks(q: int, k: int) -> Iterator[np.ndarray]:
-    """Class codes of AG(k,q) in blocks of _CHUNK, each built when asked."""
-    c = functional_count(q, k)
-    for lo in range(0, c, _CHUNK):
-        yield _class_codes(q, k, np.arange(lo, min(lo + _CHUNK, c)))
+def _class_blocks(q: int, k: int,
+                  size: Optional[int] = None) -> Iterator[np.ndarray]:
+    """Class codes of AG(k,q) in blocks of size classes, _CHUNK when
+    none is given, each built when asked."""
+    c, size = functional_count(q, k), size or _CHUNK
+    for lo in range(0, c, size):
+        yield _class_codes(q, k, np.arange(lo, min(lo + size, c)))
 
 
 def functional_values(gf: GF, fs: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -443,41 +445,48 @@ def _plane_ops(gf: GF) -> tuple[Callable, Callable]:
 def _mask_ranks(gf: GF, planes: list[np.ndarray]) -> np.ndarray:
     """Rank over GF(q), q <= 4, of each matrix in a stack held column by
     column as bit masks: the :func:`_bit_planes` of the stack, each a
-    (w, C, k) uint64 array whose bit i of word j at [c, l] holds that
-    plane's bit of the entry in row 64j + i, column l of matrix c.
+    (k, w, C) uint64 array whose bit i of word j at [l, j, c] holds that
+    plane's bit of the entry in row 64j + i, column l of matrix c.  Column
+    l of every matrix, and the columns after it, are contiguous.
 
     Step j takes as pivot the lowest row where column j is nonzero and
     adds to every later column the multiple of column j that clears that
-    row's entry, by :func:`_plane_ops`.  The rank is the number of steps
-    that found a pivot.
+    row's entry: column j itself where the entry is set at q = 2, an XOR,
+    and column j scaled by -entry / pivot entry, by :func:`_plane_ops`,
+    at q = 3 and 4.  The rank is the number of steps that found a pivot.
     """
     cols = [np.array(p, dtype=np.uint64) for p in planes]
-    w, c, k = cols[0].shape
-    scale, add = _plane_ops(gf)
-    units = gf.neg_table[1 << np.arange(len(cols))]  # -(1 << p)
+    k, w, c = cols[0].shape
+    if gf.q > 2:
+        scale, add = _plane_ops(gf)
     found = np.zeros(c, dtype=np.int64)
     every = np.arange(c)
     for j in range(k):
-        col = [x[:, :, j] for x in cols]  # (w, C)
+        col = [x[j] for x in cols]  # (w, C)
         nonzero = reduce(np.bitwise_or, col)
         # the first nonzero word of each column and its lowest set bit
-        at = ((nonzero != 0).argmax(axis=0), every) if w > 1 else 0
+        at = ((nonzero != 0).argmax(axis=0), every) if w > 1 else (0,)
         low = nonzero[at]
         piv = low & -low
         found += low != 0
-        # clear[p]: the multiple of column j that clears a pivot entry of
-        # 1 << p, -(1 << p) / (column j's pivot entry) times column j
+        rest = [x[j + 1:] for x in cols]  # (k - j - 1, w, C) views
+        # the pivot row's bits of the later columns, (k - j - 1, 1, C)
+        on = [((x[(slice(None),) + at] & piv) != 0)[:, None] for x in rest]
+        if gf.q == 2:
+            rest[0] ^= col[0] * on[0]
+            continue
+        entry = sum(o << b for b, o in enumerate(on))
         pivot = sum(((x[at] & piv) != 0) << b for b, x in enumerate(col))
-        inv = gf.inv_table[pivot]
-        clear = [scale(gf.mul_table[u, inv], col) for u in units]
-        rest = [x[:, :, j + 1:] for x in cols]  # (w, C, k - j - 1) views
-        on = [(x[at] & piv[:, None]) != 0 for x in rest]
-        multiple = [reduce(np.bitwise_xor, (cl[b][..., None] * o
-                                            for cl, o in zip(clear, on)))
-                    for b in range(len(cols))]
-        for x, y in zip(rest, add(rest, multiple)):
+        coef = gf.mul_table[gf.neg_table[entry], gf.inv_table[pivot]]
+        for x, y in zip(rest, add(rest, scale(coef, col))):
             x[...] = y
     return found
+
+
+#: words of one bit plane of a block of :func:`_mask_stage`'s samples,
+#: (k, w, C) for C classes: 256 KiB, at which larger blocks stopped
+#: saving time on family sets at q <= 4 and peak memory had not risen
+_MASK_CELLS = 1 << 15
 
 
 def _window_words(q: int, k: int) -> int:
@@ -501,23 +510,23 @@ def _mask_stage(gf: GF, k: int,
     The window's coordinates are held as bit planes, one word per column;
     a class's values there are summed coordinate by coordinate in those
     planes, and column l of its sample is its zero mask ANDed with
-    coordinate l, so building every sample costs O(C k w) words.
+    coordinate l, so building every sample costs O(C k w) words.  A block
+    holds as many classes as fit _MASK_CELLS words of a (k, w, C) plane.
     """
     q = gf.q
     scale, add = _plane_ops(gf)
     words = _window_words(q, k)
     window = _digits(codes[: 64 * words], q, k)
-    # (w, k) each; positions past the window are zero, so though every
+    # (k, w) each; positions past the window are zero, so though every
     # class vanishes there, they add only zero rows to its sample
-    coords = [_pack(x.T, words) for x in _bit_planes(q, window)]
-    for fs in _class_blocks(q, k):
-        f = _digits(fs, q, k)
-        value = [np.zeros((words, len(fs)), dtype=np.uint64) for _ in coords]
-        for j in range(k):
-            value = add(value, scale(f[:, j], [x[:, j, None] for x in coords]))
+    coords = [_pack(x.T, words).T for x in _bit_planes(q, window)]
+    for fs in _class_blocks(q, k, max(1, _MASK_CELLS // (k * words))):
+        # f_l x_l at [l, word, class], the terms of each class's values
+        terms = scale(_digits(fs, q, k).T[:, None], [x[..., None]
+                                                     for x in coords])
+        value = reduce(add, ([x[l] for x in terms] for l in range(k)))
         zero = ~reduce(np.bitwise_or, value)  # (w, C)
-        yield fs, _mask_ranks(gf, [zero[..., None] & x[:, None]
-                                   for x in coords])
+        yield fs, _mask_ranks(gf, [x[..., None] & zero for x in coords])
 
 
 def _row_stage(gf: GF, k: int, pts: np.ndarray, values: Callable,

@@ -12,7 +12,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mincodes import combinat, spectra
+from mincodes import code, combinat, spectra
 from mincodes.code import (
     ab_check,
     codeword,
@@ -258,17 +258,25 @@ def test_criterion_8_property_suites():
     _announce(8, f"5 suites x 200 cases in {elapsed:.1f}s")
 
 
-def test_criterion_9_cutting_equals_minimality():
+def test_criterion_9_cutting_equals_minimality(monkeypatch):
     start = time.perf_counter()
     budget = 10 ** 9
     max_points = 10 ** 4
     verdicts: dict = {}
     tilde_checked = set()
     instances = 0
-    # seconds spent in each check, per q for is_cutting, reported on the
-    # acceptance line
+    # seconds spent in each check, per q, and the line test's route per q,
+    # reported on the acceptance line
     spent = {"is_cutting": Counter(), "is_cutting tilde": Counter(),
              "is_minimal_direct": Counter()}
+    routes = Counter()
+    for name, route in (("_xor_line_test", "xor"), ("_line_scan", "scan")):
+        def spy(*args, real=getattr(code, name), route=route):
+            # the scan takes the field first; the convolution is q = 2 only
+            routes[args[0].q if route == "scan" else 2, route] += 1
+            return real(*args)
+
+        monkeypatch.setattr(code, name, spy)
 
     def timed(name, q, check, *args):
         t0 = time.perf_counter()
@@ -312,13 +320,15 @@ def test_criterion_9_cutting_equals_minimality():
 
     def split(name):
         by_q = spent[name]
-        if name == "is_minimal_direct":
-            return f"{name} {sum(by_q.values()):.1f}s"
         return f"{name} {sum(by_q.values()):.1f}s (" + ", ".join(
             f"q={q} {t:.2f}s" for q, t in sorted(by_q.items())) + ")"
+
+    line_tests = ", ".join(f"q={q} {route} {n}"
+                           for (q, route), n in sorted(routes.items()))
 
     _announce(9, f"{instances} instances ({len(verdicts)} distinct sets): "
                  f"is_cutting == is_minimal_direct everywhere "
                  f"({non_cutting} agreed non-minimal, on the same first "
                  f"class), tilde joins of cutting sets cutting, in "
-                 f"{elapsed:.1f}s (" + ", ".join(map(split, spent)) + ")")
+                 f"{elapsed:.1f}s (" + ", ".join(map(split, spent))
+                 + f"; line test {line_tests})")

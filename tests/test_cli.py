@@ -196,13 +196,17 @@ def test_verify_one_family2_witness_check():
     (("verify-all", "--qs", "1"), None),
     (("verify-all", "--qs", "2,2", "--max-points", "8"), None),
     (("verify-all", "--qs", "100000007", "--max-points", "10"), None),
+    (("weights", "--method", "formula", "--family", "4", "--q",
+      str(2 ** 89 - 1), "--k", "3", "--h", "3"), None),
 ], ids=["qs-not-integer", "budget-env-not-integer", "negative-budget",
         "budget-past-2^62", "formula-q-6", "max-points-0",
         "max-points-negative", "output-in-a-missing-directory",
         "output-a-directory", "qs-300", "qs-6-below-max-points",
-        "qs-300-after-2", "qs-1", "qs-repeated", "qs-prime-past-the-cap"])
+        "qs-300-after-2", "qs-1", "qs-repeated", "qs-prime-past-the-cap",
+        "formula-q-past-the-primality-bound"])
 def test_bad_input_exits_2_with_one_line(argv, env, monkeypatch, capsys):
-    # refused at once: a prime order past the cap is never trial-divided
+    # refused at once: a prime order past the cap is never factored, and
+    # one past the proved Miller-Rabin bound is refused as undecided
     if env is None:
         monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
     else:
@@ -215,15 +219,16 @@ def test_bad_input_exits_2_with_one_line(argv, env, monkeypatch, capsys):
 
 
 def test_formula_at_a_large_prime_order(capsys):
-    # q = 10^9 + 7 is proved prime by trial division up to its square
-    # root, not up to q, so the closed form prints within a second
-    start = time.perf_counter()
-    code, out, _ = run(capsys, "weights", "--method", "formula",
-                       "--family", "4", "--q", "1000000007", "--k", "3",
-                       "--h", "3")
-    assert time.perf_counter() - start < 1
-    assert code == 0
-    assert json.loads(out)["formula"]["q"] == 1000000007
+    # q = 10^9 + 7 and 2^61 - 1 are proved prime by Miller-Rabin, in
+    # O(log q) steps, so the closed form prints within a second
+    for q in (1000000007, 2 ** 61 - 1):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "weights", "--method", "formula",
+                           "--family", "4", "--q", str(q), "--k", "3",
+                           "--h", "3")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert json.loads(out)["formula"]["q"] == q
 
 
 def test_help_ignores_a_bad_budget_env(monkeypatch, capsys):

@@ -18,6 +18,7 @@ from mincodes.code import (
 )
 from mincodes.field import field_of_order, make_field
 from mincodes.pointset import (
+    FAMILIES,
     BudgetExceeded,
     ParameterError,
     _class_codes,
@@ -463,6 +464,149 @@ def test_minimality_budget_charges_the_line_scan(monkeypatch):
         with pytest.raises(BudgetExceeded) as exc:
             check(d)
         assert exc.value.required == 65535 * 21845
+
+
+def _q2_sets():
+    """Seeded q = 2 sets: random_sets' empty, dim < k, sparse and
+    near-full sets at k <= 4, sparse sets at k = 5 to 8, and the family
+    sets of acceptance criterion 9 with 2^k <= 2047, relaxed h included,
+    which gives non-minimal ones."""
+    gf = field_of_order(2)
+    rng = random.Random(2)
+    yield from random_sets(gf, rng)
+    for k in range(5, 9):
+        space = list(itertools.product(range(2), repeat=k))[1:]
+        for _ in range(6):
+            yield point_set(gf, k, tuple(rng.sample(
+                space, rng.randint(1, 4 * k))))
+    for f, ctor in sorted(FAMILIES.items()):
+        for k in range(1, 11):
+            for h in range(1, k + 1):
+                yield ctor(gf, k, h, relaxed=True)
+
+
+def test_xor_line_test_matches_the_scan_and_the_oracle(monkeypatch):
+    # both routes of the q = 2 line test, each forced, give the same
+    # verdict and witness, and so does the pure-Python oracle where it
+    # is quick
+    kinds = set()
+    for d in _q2_sets():
+        routes = []
+        for cells in (0, 2 ** 62):  # the convolution, then the scan
+            monkeypatch.setattr(code, "_xor_cells", lambda *args: cells)
+            routes.append(is_minimal_direct(d))
+        assert routes[0] == routes[1], d
+        if d.dim <= 5:
+            witness = brute_is_minimal(d)
+            assert (routes[0].minimal, routes[0].witness) == (
+                witness is None, witness), d
+        kinds.update(kind for kind, seen in (
+            ("empty", not d.points), ("dim < k", dimension(d) < d.dim),
+            ("minimal", routes[0].minimal),
+            ("not minimal", not routes[0].minimal)) if seen)
+    assert kinds == {"empty", "dim < k", "minimal", "not minimal"}
+
+
+class RouteChosen(Exception):
+    pass
+
+
+def _line_routes(monkeypatch, run=True):
+    """Spies on the two line tests: the name of each that runs, in
+    order.  With run=False a spy raises RouteChosen in place of
+    running."""
+    ran = []
+    for name in ("_xor_line_test", "_line_scan"):
+        def spy(*args, real=getattr(code, name), name=name):
+            ran.append(name)
+            if not run:
+                raise RouteChosen(name)
+            return real(*args)
+
+        monkeypatch.setattr(code, name, spy)
+    return ran
+
+
+def _many_levels(k, seed):
+    """A seeded sparse set of AG(k,2) with many weight levels."""
+    rng = random.Random(seed)
+    space = list(itertools.product(range(2), repeat=k))[1:]
+    return point_set(field_of_order(2), k, tuple(rng.sample(space, 3 * k)))
+
+
+def test_line_test_route(monkeypatch):
+    # at q = 2 a family set, with few weight levels, takes the XOR
+    # convolution and a sparse random set, with many, takes the scan;
+    # q > 2 always scans, and so does q = 2 past k = 20, where the
+    # convolution's sums could pass 2^63
+    ran = _line_routes(monkeypatch)
+    d = family1(field_of_order(2), 10, 4)
+    assert len(np.unique(class_weights(d))) <= 4
+    is_minimal_direct(d)
+    assert ran == ["_xor_line_test"]
+    ran.clear()
+    d = _many_levels(8, 3)
+    assert len(np.unique(class_weights(d))) >= 10
+    is_minimal_direct(d)
+    assert ran == ["_line_scan"]
+    ran.clear()
+    is_minimal_direct(family1(field_of_order(3), 5, 4))
+    assert ran == ["_line_scan"]
+    ran = _line_routes(monkeypatch, run=False)
+    gf = field_of_order(2)
+    for k, route in ((20, "_xor_line_test"), (21, "_line_scan")):
+        # two levels, one the sum of the other with itself
+        wts = np.arange(1, 2 ** k) % 2 + 1
+        with pytest.raises(RouteChosen, match=route):
+            code._minimality(gf, k, wts)
+
+
+def test_line_test_charge_bounds_its_work(monkeypatch):
+    # the cost _check_scan_budget charges is at least the cells of the
+    # route that runs: the scan's index blocks, counted from the calls
+    # of _translates, or the XOR convolution's rows, counted from the
+    # calls of _walsh_hadamard and bounded by _xor_cells
+    ran = _line_routes(monkeypatch)
+    cells, modeled = [], []
+    real_translates, real_walsh = code._translates, code._walsh_hadamard
+    real_cells = code._xor_cells
+
+    def translates(gf, vs, m):  # (b, s, u) for the q^(k-1-m) heads
+        heads = functional_count(gf.q, d.dim - 1 - m)
+        cells.append(heads * len(vs) * gf.q ** (m + 1))
+        return real_translates(gf, vs, m)
+
+    def walsh(a):  # k passes over every cell
+        cells.append(a.size * (a.shape[1].bit_length() - 1))
+        return real_walsh(a)
+
+    def xor_cells(*args):
+        modeled.append(real_cells(*args))
+        return modeled[-1]
+
+    monkeypatch.setattr(code, "_translates", translates)
+    monkeypatch.setattr(code, "_walsh_hadamard", walsh)
+    monkeypatch.setattr(code, "_xor_cells", xor_cells)
+    gf2 = field_of_order(2)
+    for d, route in ((family4(gf2, 10, 2, relaxed=True), "_xor_line_test"),
+                     (_many_levels(11, 5), "_xor_line_test"),
+                     (_many_levels(8, 3), "_line_scan"),
+                     (_many_levels(9, 4), "_line_scan"),
+                     (family4(field_of_order(3), 5, 3), "_line_scan"),
+                     (family4(field_of_order(4), 4, 3), "_line_scan")):
+        for seen in (ran, cells, modeled):
+            seen.clear()
+        with pytest.raises(BudgetExceeded) as exc:
+            code._check_scan_budget(d, 0)
+        is_minimal_direct(d)
+        assert ran == [route], d
+        assert cells, d
+        if route == "_xor_line_test":
+            assert sum(cells) <= modeled[0] <= exc.value.required, d
+        else:  # q of the q + 1 classes of each line
+            c = functional_count(d.field.q, d.dim)
+            assert sum(cells) == c * (c - 1) // (d.field.q + 1), d
+            assert sum(cells) <= exc.value.required, d
 
 
 def test_scale_invariant_weights_divisible():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 
 import pytest
 
@@ -117,17 +118,57 @@ def test_field_of_order_checks_the_cap_before_factoring(monkeypatch):
             field_of_order(q)
 
 
+def _trial_division(q):
+    """(p, m) with q = p^m, p prime, by trial division; None otherwise."""
+    p = next((p for p in range(2, q + 1) if q % p == 0), None)
+    if p is None:
+        return None
+    m = 0
+    while q % p == 0:
+        q, m = q // p, m + 1
+    return (p, m) if q == 1 else None
+
+
 def test_factor_prime_power():
     assert factor_prime_power(9) == (3, 2)
     assert factor_prime_power(8) == (2, 3)
     assert factor_prime_power(7) == (7, 1)
     assert factor_prime_power(256) == (2, 8)
-    # trial division stops at isqrt(q): what is left is prime
+    # p is an exact integer root of q, proved prime by Miller-Rabin
     assert factor_prime_power(1000000007) == (1000000007, 1)
     assert factor_prime_power(10007 ** 2) == (10007, 2)
-    for q in (6, 12, 1, 0, -4, 10007 * 10009, 2 * 10007 ** 2):
-        with pytest.raises(FieldError):
+    assert factor_prime_power(2 ** 61 - 1) == (2 ** 61 - 1, 1)
+    assert factor_prime_power((2 ** 31 - 1) ** 2) == (2 ** 31 - 1, 2)
+    assert factor_prime_power(3 ** 50) == (3, 50)
+    # 561 is a Carmichael number, 2047 a strong pseudoprime to base 2,
+    # 3215031751 to the prime bases up to 7, 3825123056546413051 up to 31
+    # and 318665857834031151167461 up to 37: base 41 alone shows it
+    for q in (6, 12, 1, 0, -4, 10007 * 10009, 2 * 10007 ** 2, 561, 2047,
+              3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(FieldError, match="is not a prime power"):
             factor_prime_power(q)
+    for q in range(-5, 3000):
+        try:
+            found = factor_prime_power(q)
+        except FieldError:
+            found = None
+        assert found == _trial_division(q), q
+
+
+def test_factor_prime_power_refuses_past_the_proved_bound():
+    # the 13 bases decide primality below 3.3 * 10^24; a prime root past
+    # that is refused at once, and so is the bound itself, the least
+    # composite that passes every base; other composites are rejected
+    start = time.perf_counter()
+    prime = 2 ** 89 - 1
+    for q, p in ((prime, prime), (prime ** 2, prime),
+                 (field._MR_LIMIT, field._MR_LIMIT)):
+        with pytest.raises(FieldError, match=f"{p} is past"):
+            factor_prime_power(q)
+    with pytest.raises(FieldError, match="is not a prime power"):
+        factor_prime_power(10 ** 400)
+    assert factor_prime_power(2 ** 100) == (2, 100)
+    assert time.perf_counter() - start < 1
 
 
 def test_construction_is_deterministic():

@@ -310,9 +310,11 @@ def test_ranks_gf2_match_the_oracle():
 
 
 def _mask_stacks(q, words):
-    """(12, r, k) stacks of element indices with r up to 64 words rows:
-    no rows, zero columns, k = 1, and rank-deficient stacks whose last
-    column is a multiple of the first or whose rows repeat."""
+    """(16, r, k) stacks of element indices with r up to 64 words rows:
+    no rows, zero columns, k = 1, rank-deficient stacks whose last
+    column is a multiple of the first or whose rows repeat, and stacks
+    whose columns, all or every other one, are zero before the last word,
+    so that their pivots lie past word 0, half of them rank-deficient."""
     gf = field_of_order(q)
     rng = np.random.default_rng(10 * q + words)
     for k in range(1, 7):
@@ -322,19 +324,23 @@ def _mask_stacks(q, words):
             stacks[1::4, :, 0] = 0
             stacks[2::4, :, -1] = gf.mul_table[q - 1, stacks[2::4, :, 0]]
             stacks[3::4, 1::2] = stacks[3::4, :1]
-            yield stacks
+            late = rng.integers(0, q, (4, r, k))
+            late[:2, : 64 * (words - 1)] = 0
+            late[2:, : 64 * (words - 1), ::2] = 0
+            late[1::2, :, -1] = gf.mul_table[q - 1, late[1::2, :, 0]]
+            yield np.concatenate([stacks, late])
 
 
 def _mask_planes(q, stacks):
     """The bit planes of stacks (C, r, k), packed one column at a time
-    into (w, C, k) uint64 arrays: bit i of word j holds row 64j + i."""
+    into (k, w, C) uint64 arrays: bit i of word j holds row 64j + i."""
     c, r, k = stacks.shape
     words = max(1, -(-r // 64))
     out = []
     for plane in pointset._bit_planes(q, stacks):
-        packed = np.zeros((words, c, k), dtype=np.uint64)
+        packed = np.zeros((k, words, c), dtype=np.uint64)
         for m, row, col in zip(*np.nonzero(plane)):
-            packed[row // 64, m, col] |= np.uint64(1) << np.uint64(row % 64)
+            packed[col, row // 64, m] |= np.uint64(1) << np.uint64(row % 64)
         out.append(packed)
     return out
 
@@ -345,7 +351,7 @@ def test_mask_ranks_match_the_oracle(q, words):
     gf = field_of_order(q)
     for stacks in _mask_stacks(q, words):
         planes = _mask_planes(q, stacks)
-        assert planes[0].shape[0] == words or len(stacks[0]) < 64
+        assert planes[0].shape[1] == words or len(stacks[0]) < 64
         assert pointset._mask_ranks(gf, planes).tolist() == [
             brute_rank(gf, m.tolist()) for m in stacks]
 
@@ -490,7 +496,7 @@ def test_is_cutting_route(q, stage, exact, unused, monkeypatch):
     for name in {stage, exact}:
         def spy(*args, real=getattr(pointset, name), name=name):
             arg = next(a for a in args if isinstance(a, (list, np.ndarray)))
-            calls.append((name, arg[0].shape[1] if isinstance(arg, list)
+            calls.append((name, arg[0].shape[2] if isinstance(arg, list)
                           else len(arg)))
             return real(*args)
 
@@ -508,8 +514,9 @@ def test_is_cutting_route(q, stage, exact, unused, monkeypatch):
 @pytest.mark.parametrize("q, k", [(2, 20), (3, 12)])
 def test_is_cutting_builds_class_blocks_lazily(q, k, monkeypatch):
     # 5 unit vectors span too little of the first class's hyperplane, so
-    # is_cutting stops after its first block; at these k a build that
-    # materializes every class code allocates megabytes, not gigabytes
+    # is_cutting stops after its first block, of as many classes as fit
+    # the mask stage's cell cap; at these k a build that materializes
+    # every class code allocates megabytes, not gigabytes
     asked = []
     real = pointset._class_codes
 
@@ -521,7 +528,41 @@ def test_is_cutting_builds_class_blocks_lazily(q, k, monkeypatch):
     units = tuple(tuple(int(i == j) for i in range(k)) for j in range(5))
     d = point_set(field_of_order(q), k, units)
     assert not is_cutting(d, budget=10 ** 12)
-    assert asked == [pointset._CHUNK]
+    block = pointset._MASK_CELLS // (k * pointset._window_words(q, k))
+    assert asked == [block]
+    assert 1 < block < pointset.functional_count(q, k) // 50
+
+
+@pytest.mark.parametrize("q, ks", [(2, (4, 8)), (3, (3, 6)), (4, (3, 4))])
+def test_mask_stage_blocks_do_not_change_ranks(q, ks, monkeypatch):
+    # the cell cap sizes the mask stage's blocks of classes, from a few
+    # classes per block to all in one: every class's sample rank and the
+    # first class that falls short are the same at every size, with a
+    # window of one word and, at q = 4 and k >= 4, of two
+    assert pointset._window_words(q, ks[-1]) == (2 if q == 4 else 1)
+    gf = field_of_order(q)
+    sets = [ctor(gf, k, h, relaxed=True)
+            for f, ctor in sorted(FAMILIES.items()) for k in ks
+            for h in sorted({2, FAMILY_H_MIN[f]}) if h <= k]  # 2: not cutting
+    seen = []
+    for cells in (24, pointset._MASK_CELLS, 2 ** 40):
+        monkeypatch.setattr(pointset, "_MASK_CELLS", cells)
+        out = []
+        for d in sets:
+            k, c = d.dim, pointset.functional_count(q, d.dim)
+            codes = d.codes[np.random.default_rng(0).permutation(len(d))]
+            stage = list(pointset._mask_stage(gf, k, codes))
+            # 24 // (k w) classes per block, 3 to 8, and all in one
+            size = max(1, cells // (k * pointset._window_words(q, k)))
+            assert len(stage) == -(-c // size)
+            assert (len(stage) > 1) == (cells == 24)
+            fs, ranks = (np.concatenate(x) for x in zip(*stage))
+            assert fs.tolist() == pointset._class_codes(
+                q, d.dim, np.arange(c)).tolist()
+            out.append((ranks.tolist(), first_short_class(d)))
+        seen.append(out)
+    assert seen[0] == seen[1] == seen[2]
+    assert None in [s for _, s in seen[0]] and any(s for _, s in seen[0])
 
 
 def _matches_the_table_kernel(q, ks, words, monkeypatch):

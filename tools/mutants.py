@@ -1,0 +1,270 @@
+"""Mutation check: apply each mutant below to a fresh copy of the package
+and its tests, run only the tests named for it, and tally the outcomes.
+
+    python tools/mutants.py              # every mutant
+    python tools/mutants.py xor mask     # those whose name holds a word
+
+Each mutant replaces one exact anchor, which must occur exactly once in
+its file, by a replacement.  It is caught when its tests fail (or run past
+TIMEOUT_S) and survives when they pass.  An anchor that is missing or not
+unique is an error, so an entry the code has moved away from shows at
+once.  Mutants marked equivalent change no answer, with the reason given;
+they are expected to survive.  The named tests must pass on the unmutated
+copy first.  The exit status is 0 only when every other mutant is caught,
+every equivalent one survives and no anchor is missing.
+
+A surviving mutant is answered with a test that catches it, never by
+deleting its entry.  Only the standard library is used, and nothing is
+written inside the repository.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+#: a mutant whose tests run longer than this (say, a loop that no longer
+#: ends) counts as caught
+TIMEOUT_S = 600
+
+PS = "tests/test_pointset.py::"
+CODE = "tests/test_code.py::"
+FIELD = "tests/test_field.py::"
+CLI = "tests/test_cli.py::"
+
+
+#: the body of the stride loop of code._walsh_hadamard
+_BUTTERFLY = """\
+        b = a.reshape(len(a), -1, 2, h)  # a view: the pairs (x, x ^ h)
+        low = b[:, :, 0].copy()
+        b[:, :, 0] += b[:, :, 1]
+        low -= b[:, :, 1]
+        b[:, :, 1] = low
+"""
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    anchor: str
+    replacement: str
+    tests: tuple[str, ...]
+    #: why the mutant changes no answer, when it is equivalent
+    equivalent: str = ""
+
+
+MUTANTS = (
+    # -- is_cutting's mask stage at q <= 4 -----------------------------------
+    Mutant("gf3-add-planes-swapped", "src/mincodes/pointset.py",
+           "return [(x2 | y2) ^ t, (x1 | y1) ^ t]",
+           "return [(x1 | y1) ^ t, (x2 | y2) ^ t]",
+           (PS + "test_plane_ops_match_the_field_tables",
+            PS + "test_mask_ranks_match_the_oracle")),
+    Mutant("gf4-scaling-ignores-the-plane", "src/mincodes/pointset.py",
+           "lands(gf.mul(s, 1 << p), b)", "lands(gf.mul(s, 1), b)",
+           (PS + "test_plane_ops_match_the_field_tables",
+            PS + "test_mask_ranks_match_the_oracle")),
+    Mutant("first-zero-word-as-pivot-word", "src/mincodes/pointset.py",
+           "((nonzero != 0).argmax(axis=0), every)",
+           "((nonzero == 0).argmax(axis=0), every)",
+           (PS + "test_mask_ranks_match_the_oracle",)),
+    Mutant("all-bits-as-pivot", "src/mincodes/pointset.py",
+           "piv = low & -low", "piv = low",
+           (PS + "test_mask_ranks_match_the_oracle",)),
+    Mutant("pivot-inverse-dropped", "src/mincodes/pointset.py",
+           "coef = gf.mul_table[gf.neg_table[entry], gf.inv_table[pivot]]",
+           "coef = gf.neg_table[entry]",
+           (PS + "test_mask_ranks_match_the_oracle",)),
+    Mutant("two-sigma-window", "src/mincodes/pointset.py",
+           "< 4 * math.sqrt(", "< 2 * math.sqrt(",
+           (PS + "test_packed_is_cutting_matches_the_table_kernel",
+            PS + "test_mask_stage_matches_the_table_kernel")),
+    Mutant("short-threshold-k-2", "src/mincodes/pointset.py",
+           "for f in fs[sample_ranks < k - 1]:",
+           "for f in fs[sample_ranks < k - 2]:",
+           (PS + "test_is_cutting", PS + "test_is_cutting_route",
+            PS + "test_is_cutting_matches_the_oracle_on_random_sets")),
+    Mutant("block-first-class-returned", "src/mincodes/pointset.py",
+           "return int(f)", "return int(fs[0])",
+           (CODE + "test_cutting_equals_minimality_on_spanning_sets",
+            PS + "test_packed_is_cutting_matches_the_table_kernel")),
+    Mutant("values-without-the-last-coordinate", "src/mincodes/pointset.py",
+           "for l in range(k)))", "for l in range(k - 1)))",
+           (CODE + "test_cutting_equals_minimality_on_spanning_sets",
+            PS + "test_mask_stage_matches_the_table_kernel")),
+    Mutant("q2-elimination-or-for-xor", "src/mincodes/pointset.py",
+           "rest[0] ^= col[0] * on[0]", "rest[0] |= col[0] * on[0]",
+           (PS + "test_mask_ranks_match_the_oracle",)),
+    Mutant("pivot-row-read-from-word-0", "src/mincodes/pointset.py",
+           "on = [((x[(slice(None),) + at] & piv) != 0)",
+           "on = [((x[:, 0] & piv) != 0)",
+           (PS + "test_mask_ranks_match_the_oracle",)),
+    Mutant("zero-mask-of-plane-0-only", "src/mincodes/pointset.py",
+           "zero = ~reduce(np.bitwise_or, value)", "zero = ~value[0]",
+           (PS + "test_mask_stage_matches_the_table_kernel",)),
+    Mutant("block-size-ignores-the-window", "src/mincodes/pointset.py",
+           "_MASK_CELLS // (k * words)", "_MASK_CELLS // k",
+           (PS + "test_is_cutting_builds_class_blocks_lazily",
+            PS + "test_mask_stage_blocks_do_not_change_ranks")),
+    # -- the line test at q = 2 ---------------------------------------------
+    Mutant("xor-past-k-20", "src/mincodes/code.py",
+           "_XOR_MAX_K = 20", "_XOR_MAX_K = 21",
+           (CODE + "test_line_test_route",)),
+    Mutant("xor-route-when-dearer", "src/mincodes/code.py",
+           "if _xor_cells(k, levels, pairs) < c * (c - 1) // 3:",
+           "if _xor_cells(k, levels, pairs) > c * (c - 1) // 3:",
+           (CODE + "test_line_test_route",)),
+    Mutant("xor-pairs-of-equal-levels-dropped", "src/mincodes/code.py",
+           "(levels[:, None] <= levels)", "(levels[:, None] < levels)",
+           (CODE + "test_xor_line_test_matches_the_scan_and_the_oracle",)),
+    Mutant("xor-walsh-difference-as-sum", "src/mincodes/code.py",
+           "low -= b[:, :, 1]", "low += b[:, :, 1]",
+           (CODE + "test_xor_line_test_matches_the_scan_and_the_oracle",)),
+    Mutant("xor-weights-off-by-one-class", "src/mincodes/code.py",
+           "w[1:] = wts", "w[:-1] = wts",
+           (CODE + "test_xor_line_test_matches_the_scan_and_the_oracle",)),
+    Mutant("xor-zero-counts-hit", "src/mincodes/code.py",
+           "(w == s) & (counts > 0)", "(w == s) & (counts >= 0)",
+           (CODE + "test_xor_line_test_matches_the_scan_and_the_oracle",)),
+    Mutant("xor-witness-takes-the-zero-functional", "src/mincodes/code.py",
+           "inner = (w > 0) & (w[g ^ f] > 0)", "inner = (w[g ^ f] > 0)",
+           (CODE + "test_xor_line_test_matches_the_scan_and_the_oracle",)),
+    Mutant("xor-largest-containing-class", "src/mincodes/code.py",
+           "f = min(hits)", "f = max(hits)",
+           (CODE + "test_xor_line_test_matches_the_scan_and_the_oracle",)),
+    Mutant("xor-cells-without-the-sums", "src/mincodes/code.py",
+           "rows = len(np.unique(pairs)) + len(",
+           "rows = len(np.unique(pairs)) + 0 * len(",
+           (CODE + "test_line_test_charge_bounds_its_work",)),
+    Mutant("xor-walsh-strides-increasing", "src/mincodes/code.py",
+           "    h = a.shape[1] // 2\n    while h:\n" + _BUTTERFLY
+           + "        h //= 2\n",
+           "    h = 1\n    while h < a.shape[1]:\n" + _BUTTERFLY
+           + "        h *= 2\n",
+           (CODE + "test_xor_line_test_matches_the_scan_and_the_oracle",),
+           equivalent="the butterfly passes commute, so the transform is "
+                      "the same in any order of strides"),
+    # -- the weight transform -------------------------------------------------
+    Mutant("perm-as-s-plus-fx", "src/mincodes/code.py",
+           "perm = gf.add_table[np.arange(q), gf.neg_table[gf.mul_table]"
+           "[:, :, None]]",
+           "perm = gf.add_table[np.arange(q), gf.mul_table[:, :, None]]",
+           (CODE + "test_hyperplane_counts_match_a_pure_python_count",),
+           equivalent="row 0 of the table then counts -f.x = 0, the same "
+                      "set as f.x = 0"),
+    Mutant("perm-indices-swapped", "src/mincodes/code.py",
+           "acc += t[perm[f, x], x]", "acc += t[perm[x, f], x]",
+           (CODE + "test_hyperplane_counts_match_a_pure_python_count",),
+           equivalent="perm[f, x] depends on f * x only, and "
+                      "multiplication commutes"),
+    # -- field orders ---------------------------------------------------------
+    Mutant("cap-checked-after-factoring", "src/mincodes/field.py",
+           "    if q > MAX_ORDER:\n"
+           "        raise FieldError(f\"field order {q} exceeds cap "
+           "{MAX_ORDER}\")\n"
+           "    return make_field(*factor_prime_power(q))",
+           "    p, m = factor_prime_power(q)\n"
+           "    if q > MAX_ORDER:\n"
+           "        raise FieldError(f\"field order {q} exceeds cap "
+           "{MAX_ORDER}\")\n"
+           "    return make_field(p, m)",
+           (FIELD + "test_field_of_order_checks_the_cap_before_factoring",)),
+    Mutant("root-search-skips-m-1", "src/mincodes/field.py",
+           "range(max(q, 1).bit_length() - 1, 0, -1)",
+           "range(max(q, 1).bit_length() - 1, 1, -1)",
+           (FIELD + "test_factor_prime_power",)),
+    Mutant("root-not-checked-exact", "src/mincodes/field.py",
+           "return x if x ** m == q else 0", "return x",
+           (FIELD + "test_factor_prime_power",)),
+    Mutant("base-41-dropped", "src/mincodes/field.py",
+           "31, 37, 41)", "31, 37)",
+           (FIELD + "test_factor_prime_power",)),
+    Mutant("bound-itself-certified", "src/mincodes/field.py",
+           "if n >= _MR_LIMIT:", "if n > _MR_LIMIT:",
+           (FIELD + "test_factor_prime_power_refuses_past_the_proved_bound",)),
+    Mutant("one-squaring-short", "src/mincodes/field.py",
+           "for _ in range(s - 1):", "for _ in range(s - 2):",
+           (FIELD + "test_factor_prime_power",)),
+    Mutant("past-the-bound-accepted", "src/mincodes/field.py",
+           "        raise FieldError(f\"{n} is past {_MR_LIMIT}, where "
+           "primality is \"\n",
+           "        return True\n        raise FieldError(f\"{n} is past "
+           "{_MR_LIMIT}, where primality is \"\n",
+           (FIELD + "test_factor_prime_power_refuses_past_the_proved_bound",
+            CLI + "test_bad_input_exits_2_with_one_line")),
+)
+
+
+def _apply(tree: Path, mutant: Mutant) -> bool:
+    """Write the mutant into the copy at tree; False when its anchor is
+    missing or not unique."""
+    path = tree / mutant.path
+    text = path.read_text()
+    if text.count(mutant.anchor) != 1:
+        return False
+    path.write_text(text.replace(mutant.anchor, mutant.replacement))
+    return True
+
+
+def _passes(tree: Path, tests: tuple[str, ...]) -> bool:
+    """Whether the tests pass in the copy at tree; a run past TIMEOUT_S
+    counts as failing."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+           "no:cacheprovider", *tests]
+    try:
+        run = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
+                             timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False
+    return run.returncode == 0
+
+
+def _copy(dest: Path) -> Path:
+    tree = dest / "tree"
+    skip = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, tree / part, ignore=skip)
+    shutil.copy(ROOT / "pyproject.toml", tree / "pyproject.toml")
+    return tree
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS
+              if not argv or any(word in m.name for word in argv)]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = _copy(Path(tmp))
+        tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+        if not _passes(tree, tests):
+            print("error: the named tests fail without any mutant")
+            return 2
+    tally = {"caught": 0, "survived": 0, "equivalent": 0,
+             "equivalent, but caught": 0, "anchor not found": 0}
+    for mutant in chosen:
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = _copy(Path(tmp))
+            if not _apply(tree, mutant):
+                outcome = "anchor not found"
+            elif _passes(tree, mutant.tests):
+                outcome = "equivalent" if mutant.equivalent else "survived"
+            else:
+                outcome = ("equivalent, but caught" if mutant.equivalent
+                           else "caught")
+        tally[outcome] += 1
+        print(f"{outcome:>22}  {mutant.name}", flush=True)
+    print("tally: " + ", ".join(f"{n} {k}" for k, n in tally.items() if n))
+    bad = (tally["survived"] + tally["anchor not found"]
+           + tally["equivalent, but caught"])
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
