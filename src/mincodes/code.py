@@ -32,11 +32,14 @@ from .pointset import (
     _class_codes,
     _codes,
     _digits,
-    _kernel,
+    _mask_ranks,
+    _masks,
+    _plane_ops,
     _projective_points,
     check_budget,
     functional_count,
     functional_values,
+    ranks,
 )
 
 
@@ -62,10 +65,15 @@ def _codewords(d: DefiningSet, fs: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def dimension(d: DefiningSet) -> int:
-    """Rank over GF(q) of the matrix whose columns are the points of D,
-    by the row reduction :func:`_kernel` picks for q."""
-    pts, _, rank_of = _kernel(d.field, d.dim, d.codes)
-    return int(rank_of(pts[None])[0])
+    """Rank over GF(q) of the matrix whose columns are the points of D, by
+    the one rank kernel of each q: column elimination on D's bit masks
+    (:func:`_mask_ranks`) at q <= 4, row reduction through the field
+    tables (:func:`ranks`) above."""
+    gf, k = d.field, d.dim
+    if gf.q <= 4:
+        planes = [x[..., None] for x in _masks(gf.q, k, d.codes)]
+        return int(_mask_ranks(gf, planes, _plane_ops(gf))[0])
+    return int(ranks(gf, _digits(d.codes, gf.q, k)[None])[0])
 
 
 @dataclass(frozen=True)

@@ -338,69 +338,34 @@ def ranks(gf: GF, stacks: np.ndarray) -> np.ndarray:
     return found
 
 
-def _ranks_gf2(words: np.ndarray, k: int) -> np.ndarray:
-    """Rank over GF(2) of each matrix in a (C, R) stack of rows packed
-    into the low k bits of words, their :func:`_codes`: :func:`ranks`
-    with one XOR per row in place of k table look-ups.
-
-    Step j takes as pivot the first row of each matrix with bit j set and
-    XORs it into every row with bit j set, the pivot row included, which
-    becomes zero.  The rank is the number of steps that found a pivot.
-    """
-    a = np.array(words, dtype=np.int64)
-    c, r = a.shape
-    found = np.zeros(c, dtype=np.int64)
-    every = np.arange(c)
-    for j in range(k if r else 0):  # argmax needs at least one row
-        has = (a & (1 << j)) != 0
-        piv = has.argmax(axis=1)  # row 0 where no row has the bit
-        found += has[every, piv]
-        a ^= a[every, piv][:, None] * has
-    return found
-
-
-def _kernel(gf: GF, k: int, codes: np.ndarray):
-    """The rows, value function and rank function for the points of codes
-    (n,) of :func:`is_cutting`'s exact pass over all of a hyperplane's
-    points, of its row stage at q >= 5 and of the code dimension.  At
-    q = 2 a code is the packed word (k is at most 62 in a
-    :class:`DefiningSet`), a class value the parity of f & x, and
-    :func:`_ranks_gf2` reduces the words; elsewhere the table kernel
-    :func:`ranks` reduces element indices, the codes' digits.  The mask
-    stage of is_cutting at q <= 4 does not use it."""
-    if gf.q != 2:
-        return (_digits(codes, gf.q, k), partial(functional_values, gf),
-                partial(ranks, gf))
-
-    def values(fs, x):  # codes are non-negative: popcount of f & x
-        return np.bitwise_count(fs[:, None] & x.T) & 1
-
-    def rank_of(stacks):
-        return _ranks_gf2(stacks[..., 0], k)
-
-    # an (n, 1) column: gathers and zero-padding act as on coordinates
-    return codes[:, None], values, rank_of
-
-
 def _bit_planes(q: int, digits: np.ndarray) -> list[np.ndarray]:
     """The bit planes of element indices, q <= 4, as bool arrays of their
     shape: the index itself at q = 2, index == 1 and index == 2 at q = 3,
     and the two bits of the index (the coefficients of 1 and x) at q = 4.
     In every case the index is the sum of the planes' bits, plane p's
-    weighted by 1 << p."""
+    weighted by 1 << p.  digits may be any integers whose residues mod q
+    are the indices (at q = 2 and 4 the low bits are the residue's)."""
     if q == 3:
+        digits = digits % 3
         return [digits == 1, digits == 2]
-    return [(digits >> b & 1).astype(bool)
+    return [(digits & (1 << b)).astype(bool)
             for b in range((q - 1).bit_length())]
 
 
-def _pack(bits: np.ndarray, words: int) -> np.ndarray:
-    """Bits (..., P), P <= 64 * words, as uint64 words (words, ...): bit i
-    of word j holds position 64j + i, and the positions past P are zero."""
-    out = np.zeros(bits.shape[:-1] + (8 * words,), dtype=np.uint8)
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    out[..., : packed.shape[-1]] = packed
-    return np.moveaxis(out.view("<u8"), -1, 0)
+def _masks(q: int, k: int, codes: np.ndarray) -> list[np.ndarray]:
+    """The :func:`_bit_planes` of the points of codes (n,), q <= 4, as
+    (k, w) uint64 masks, w = max(1, ceil(n / 64)): bit i of word j at
+    [l, j] holds that plane's bit of coordinate l of point 64j + i; the bits
+    past n are zero.  Built one coordinate at a time from codes // q^(k-1-l),
+    so no (n, k) array of digits is."""
+    words = max(1, -(-len(codes) // 64))
+    out = [np.zeros((k, 8 * words), dtype=np.uint8)
+           for _ in range((q - 1).bit_length())]
+    for l in range(k):
+        for x, bits in zip(out, _bit_planes(q, codes // q ** (k - 1 - l))):
+            packed = np.packbits(bits, bitorder="little")
+            x[l, : len(packed)] = packed
+    return [x.view("<u8") for x in out]
 
 
 def _gf3_add(xs: list[np.ndarray], ys: list[np.ndarray]) -> list[np.ndarray]:
@@ -442,7 +407,8 @@ def _plane_ops(gf: GF) -> tuple[Callable, Callable]:
     return scale, _gf3_add if q == 3 else add
 
 
-def _mask_ranks(gf: GF, planes: list[np.ndarray]) -> np.ndarray:
+def _mask_ranks(gf: GF, planes: list[np.ndarray],
+                ops: tuple[Callable, Callable]) -> np.ndarray:
     """Rank over GF(q), q <= 4, of each matrix in a stack held column by
     column as bit masks: the :func:`_bit_planes` of the stack, each a
     (k, w, C) uint64 array whose bit i of word j at [l, j, c] holds that
@@ -452,13 +418,13 @@ def _mask_ranks(gf: GF, planes: list[np.ndarray]) -> np.ndarray:
     Step j takes as pivot the lowest row where column j is nonzero and
     adds to every later column the multiple of column j that clears that
     row's entry: column j itself where the entry is set at q = 2, an XOR,
-    and column j scaled by -entry / pivot entry, by :func:`_plane_ops`,
-    at q = 3 and 4.  The rank is the number of steps that found a pivot.
+    and column j scaled by -entry / pivot entry, by ops, the
+    :func:`_plane_ops` of gf, at q = 3 and 4.  The rank is the number of
+    steps that found a pivot.
     """
     cols = [np.array(p, dtype=np.uint64) for p in planes]
     k, w, c = cols[0].shape
-    if gf.q > 2:
-        scale, add = _plane_ops(gf)
+    scale, add = ops
     found = np.zeros(c, dtype=np.int64)
     every = np.arange(c)
     for j in range(k):
@@ -483,14 +449,31 @@ def _mask_ranks(gf: GF, planes: list[np.ndarray]) -> np.ndarray:
     return found
 
 
-#: words of one bit plane of a block of :func:`_mask_stage`'s samples,
+def _zero_ranks(gf: GF, k: int, masks: list[np.ndarray], fs: np.ndarray,
+                ops: tuple[Callable, Callable]) -> np.ndarray:
+    """Rank over GF(q), q <= 4, of the zeros of each class of codes fs (C,)
+    among the points of masks, :func:`_masks` or their first words, by
+    :func:`_mask_ranks` with ops.  A class's values are summed coordinate
+    by coordinate in the planes, and column l of its matrix is its zero
+    mask ANDed with coordinate l: O(C k w) words.  Every class vanishes on
+    the bits past the points, but they are zero rows of its matrix."""
+    scale, add = ops
+    # f_l x_l at [l, word, class], the terms of each class's values
+    terms = scale(_digits(fs, gf.q, k).T[:, None], [x[..., None]
+                                                      for x in masks])
+    value = reduce(add, ([x[l] for x in terms] for l in range(k)))
+    zero = ~reduce(np.bitwise_or, value)  # (w, C)
+    return _mask_ranks(gf, [x[..., None] & zero for x in masks], ops)
+
+
+#: words of one bit plane of a block of :func:`_mask_route`'s samples,
 #: (k, w, C) for C classes: 256 KiB, at which larger blocks stopped
 #: saving time on family sets at q <= 4 and peak memory had not risen
 _MASK_CELLS = 1 << 15
 
 
 def _window_words(q: int, k: int) -> int:
-    """Words w of the mask stage's window, the first 64w points of D in
+    """Words w of the mask route's window, the first 64w points of D in
     :func:`_first_short_class`'s order: the fewest for which a class's
     expected zeros in it, 64w/q, exceed k - 1 by four binomial standard
     deviations."""
@@ -500,59 +483,54 @@ def _window_words(q: int, k: int) -> int:
     return w
 
 
-def _mask_stage(gf: GF, k: int,
-                codes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The first stage of :func:`_first_short_class` at q <= 4: each block
-    of class codes (C,) with the rank of each class's sample, every one of
-    its zeros among the first 64w points of codes, w from
-    :func:`_window_words`.
+def _mask_route(gf: GF, k: int, codes: np.ndarray):
+    """The (blocks, exact) of :func:`_first_short_class` at q <= 4, both
+    ranked by :func:`_zero_ranks` on the masks of codes (n,), built once:
+    blocks of class codes (C,), as many as fit _MASK_CELLS words of a
+    (k, w, C) plane, with the rank of each class's zeros in the window,
+    the masks' first w words (w from :func:`_window_words`), and the rank
+    of one class's zeros among all of codes."""
+    ops = _plane_ops(gf)
+    masks = _masks(gf.q, k, codes)
+    words = _window_words(gf.q, k)
+    window = [x[:, :words] for x in masks]
+    blocks = ((fs, _zero_ranks(gf, k, window, fs, ops)) for fs in
+              _class_blocks(gf.q, k, max(1, _MASK_CELLS // (k * words))))
+    return blocks, lambda f: _zero_ranks(gf, k, masks, f[None], ops)[0]
 
-    The window's coordinates are held as bit planes, one word per column;
-    a class's values there are summed coordinate by coordinate in those
-    planes, and column l of its sample is its zero mask ANDed with
-    coordinate l, so building every sample costs O(C k w) words.  A block
-    holds as many classes as fit _MASK_CELLS words of a (k, w, C) plane.
+
+def _table_route(gf: GF, k: int, codes: np.ndarray):
+    """The (blocks, exact) of :func:`_first_short_class` at q >= 5, both
+    ranked by :func:`ranks` on the digits of codes (n,): blocks of class
+    codes with the rank of each class's first k + 8 zeros among the first
+    2q(k + 8) points, and the rank of one class's zeros among all of codes.
+
+    The blocks of both routes are generated, so a block's arrays live
+    until the next block's replace them.  Freed all at once, at the end
+    of a call per block, they let the allocator hand their pages back,
+    and faulting them in again made this stage about 15% slower at q = 7
+    (three times the page faults; 2-vCPU VM, numpy 2.4).
     """
-    q = gf.q
-    scale, add = _plane_ops(gf)
-    words = _window_words(q, k)
-    window = _digits(codes[: 64 * words], q, k)
-    # (k, w) each; positions past the window are zero, so though every
-    # class vanishes there, they add only zero rows to its sample
-    coords = [_pack(x.T, words).T for x in _bit_planes(q, window)]
-    for fs in _class_blocks(q, k, max(1, _MASK_CELLS // (k * words))):
-        # f_l x_l at [l, word, class], the terms of each class's values
-        terms = scale(_digits(fs, q, k).T[:, None], [x[..., None]
-                                                     for x in coords])
-        value = reduce(add, ([x[l] for x in terms] for l in range(k)))
-        zero = ~reduce(np.bitwise_or, value)  # (w, C)
-        yield fs, _mask_ranks(gf, [x[..., None] & zero for x in coords])
-
-
-def _row_stage(gf: GF, k: int, pts: np.ndarray, values: Callable,
-               rank_of: Callable) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The first stage of :func:`_first_short_class` at q >= 5: each block
-    of class codes with the rank of each class's sample, its first k + 8
-    zeros among the first 2q(k + 8) of the :func:`_kernel` rows pts,
-    row-reduced by rank_of.
-
-    Both stages are generators, so a block's arrays live until the next
-    block's replace them.  Freed all at once, at the end of a call per
-    block, they let the allocator hand their pages back, and faulting
-    them in again made this stage about 15% slower at q = 7 (three times
-    the page faults; 2-vCPU VM, numpy 2.4).
-    """
+    pts = _digits(codes, gf.q, k)
     # such a prefix gives each hyperplane about 2(k+8) of its points, and
     # k+8 random points of a hyperplane span it with probability about
     # 1 - q^-9
     rows = k + 8
     prefix = pts[: 2 * gf.q * rows]
-    for fs in _class_blocks(gf.q, k):
-        vals = values(fs, prefix)
-        # each class's first `rows` points in the prefix, zero-padded
-        idx = np.argsort(vals != 0, axis=1, kind="stable")[:, :rows]
-        on = np.take_along_axis(vals == 0, idx, axis=1)
-        yield fs, rank_of(pts[idx] * on[..., None])
+
+    def blocks():
+        for fs in _class_blocks(gf.q, k):
+            vals = functional_values(gf, fs, prefix)
+            # each class's first `rows` points in the prefix, zero-padded
+            idx = np.argsort(vals != 0, axis=1, kind="stable")[:, :rows]
+            on = np.take_along_axis(vals == 0, idx, axis=1)
+            yield fs, ranks(gf, pts[idx] * on[..., None])
+
+    def exact(f):
+        plane = pts[functional_values(gf, f[None], pts)[0] == 0]
+        return ranks(gf, plane[None])[0]
+
+    return blocks(), exact
 
 
 def _first_short_class(d: DefiningSet, budget: int) -> Optional[int]:
@@ -561,23 +539,20 @@ def _first_short_class(d: DefiningSet, budget: int) -> Optional[int]:
 
     Blocks of classes are ranked together on a sample of each hyperplane's
     points, drawn from D in a fixed shuffled order (lex order crowds a
-    hyperplane's points onto a few), by :func:`_mask_stage` at q <= 4 and
-    :func:`_row_stage` above.  A class whose sample falls short of rank
-    k-1 is reduced again on all of its points, one class at a time, by
-    :func:`_kernel`'s rank function, so memory stays bounded.  A failing
-    class falls short on every sample, so the sample decides only how
-    many classes take that exact pass, never which class is returned.
+    hyperplane's points onto a few).  A class whose sample falls short of
+    rank k-1 is ranked again on all of its points, one class at a time, so
+    memory stays bounded.  q picks one route for both stages:
+    :func:`_mask_route` at q <= 4 and :func:`_table_route` above.  A
+    failing class falls short on every sample, so the sample decides only
+    how many classes take that exact pass, never which class is returned.
     """
     gf, k = d.field, d.dim
     check_budget(gf.q, k, len(d), budget)
     codes = d.codes[np.random.default_rng(0).permutation(len(d))]
-    pts, values, rank_of = _kernel(gf, k, codes)
-    blocks = (_mask_stage(gf, k, codes) if gf.q <= 4
-              else _row_stage(gf, k, pts, values, rank_of))
+    blocks, exact = (_mask_route if gf.q <= 4 else _table_route)(gf, k, codes)
     for fs, sample_ranks in blocks:
         for f in fs[sample_ranks < k - 1]:
-            plane = pts[values(f[None], pts)[0] == 0]
-            if rank_of(plane[None])[0] < k - 1:
+            if exact(f) < k - 1:
                 return int(f)
     return None
 
@@ -587,12 +562,12 @@ def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
     spans that (k-1)-dimensional hyperplane: iff
     :func:`_first_short_class` finds no class that falls short.
 
-    At q <= 4 each class is first ranked on all of its zeros among the
-    first 64w points of D in a fixed shuffled order, as bit masks; w is
-    the fewest words for which a class's expected zeros there, 64w/q,
-    exceed k - 1 by four binomial standard deviations, so a class whose
-    hyperplane D spans rarely falls short and takes the exact pass.  At
-    q >= 5 each class is row-reduced on its first k + 8 zeros among the
-    first 2q(k + 8) points.
+    At q <= 4 every rank is taken on bit masks, and each class is first
+    ranked on all of its zeros among the first 64w points of D in a fixed
+    shuffled order; w is the fewest words for which a class's expected
+    zeros there, 64w/q, exceed k - 1 by four binomial standard deviations,
+    so a class whose hyperplane D spans rarely takes the exact pass.  At
+    q >= 5 every rank is a row reduction, each class's first on its first
+    k + 8 zeros among the first 2q(k + 8) points.
     """
     return _first_short_class(d, budget) is None

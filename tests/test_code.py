@@ -74,7 +74,7 @@ def test_class_order_matches_an_independent_enumeration(q):
 
 def test_codes_round_trip_at_63_bits():
     rows = np.random.default_rng(63).integers(0, 2, (40, 63))
-    rows[::2, 0] = 1  # bit 62, the widest code of the packed route
+    rows[::2, 0] = 1  # bit 62, the top bit of a non-negative int64
     codes = _codes(rows, 2)
     assert (codes[::2] >> 62).tolist() == [1] * 20
     assert np.array_equal(_digits(codes, 2, 63), rows)
@@ -128,25 +128,35 @@ def test_dimension():
                                 family4(gf3, 3, 3))) == 4
 
 
+def _span_sample(gf, rng, k, r, draws):
+    """Distinct nonzero combinations of r random vectors of length k, from
+    draws random draws: a set of rank at most r, below k unless r = k."""
+    basis = [[rng.randrange(gf.q) for _ in range(k)] for _ in range(r)]
+    pts = set()
+    for _ in range(draws):
+        pt = [0] * k
+        for vec in basis:
+            c = rng.randrange(gf.q)
+            pt = [gf.add(x, gf.mul(c, y)) for x, y in zip(pt, vec)]
+        if any(pt):
+            pts.add(tuple(pt))
+    return point_set(gf, k, tuple(sorted(pts)))
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_dimension_matches_the_oracle(q):
     gf = field_of_order(q)
     rng = random.Random(q)
-    for k in range(1, 5):
-        for r in range(k + 1):
-            # distinct nonzero combinations of r random vectors: a set of
-            # rank at most r, below k unless r = k
-            basis = [[rng.randrange(q) for _ in range(k)] for _ in range(r)]
-            pts = set()
-            for _ in range(3 * k):
-                pt = [0] * k
-                for vec in basis:
-                    c = rng.randrange(q)
-                    pt = [gf.add(x, gf.mul(c, y)) for x, y in zip(pt, vec)]
-                if any(pt):
-                    pts.add(tuple(pt))
-            d = point_set(gf, k, tuple(sorted(pts)))
-            assert dimension(d) == brute_rank(gf, d.points) <= r
+    sets = [(_span_sample(gf, rng, k, r, 3 * k), r)
+            for k in range(1, 5) for r in range(k + 1)]
+    # rank-deficient sets of more than 64 points, whose masks at q <= 4
+    # span two to four words
+    big = [(_span_sample(gf, rng, 9, r, 240), r) for r in (7, 8)]
+    assert all(64 < len(d) <= 256 for d, _ in big)
+    if q == 2:  # k = 62, the widest code
+        big.append((_span_sample(gf, rng, 62, 60, 100), 60))
+    for d, r in sets + big:
+        assert dimension(d) == brute_rank(gf, d.points) <= r
 
 
 def test_weight_distribution_examples():

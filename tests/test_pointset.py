@@ -1,11 +1,10 @@
 import itertools
 import random
-from functools import partial
 
 import numpy as np
 import pytest
 
-from mincodes import cli, pointset
+from mincodes import cli, code, pointset
 from mincodes.code import dimension
 from mincodes.field import field_of_order, make_field
 from mincodes.pointset import (
@@ -248,7 +247,7 @@ def test_is_cutting_matches_the_oracle_on_random_sets(q):
 
 
 def test_packed_is_cutting_matches_the_oracle_on_random_sets():
-    # the packed route up to k = 7, with sets from empty to the whole
+    # the mask route at q = 2 up to k = 7, with sets from empty to the whole
     # space, so that both verdicts occur at k = 6 and 7
     gf = field_of_order(2)
     rng = random.Random(2)
@@ -291,21 +290,23 @@ def test_ranks_match_the_oracle(q):
 
 
 def test_ranks_gf2_match_the_oracle():
+    # the one GF(2) kernel, _mask_ranks, on the stacks ranks is checked on
     gf = field_of_order(2)
+    ops = pointset._plane_ops(gf)
     for stacks in _rank_stacks(2):
-        k = stacks.shape[2]
-        words = pointset._codes(stacks, 2)
-        assert pointset._ranks_gf2(words, k).tolist() == [
+        assert pointset._mask_ranks(gf, _mask_planes(2, stacks),
+                                    ops).tolist() == [
             brute_rank(gf, m.tolist()) for m in stacks]
-    # k = 63, the widest packed route, with bit 62 (x_1) set in some rows
+    # k = 63 columns, x_1 set in every other row of some stacks, and up to
+    # 70 rows, two words
     rng = np.random.default_rng(63)
     for r in (1, 5, 40, 70):
         stacks = rng.integers(0, 2, (6, r, 63))
         stacks[::2, ::2, 0] = 1
         stacks[1::2, :, 0] = 0
-        words = pointset._codes(stacks, 2)
-        assert (words[::2, 0] >> 62).tolist() == [1, 1, 1]
-        assert pointset._ranks_gf2(words, 63).tolist() == [
+        planes = _mask_planes(2, stacks)
+        assert planes[0].shape == (63, 1 + (r > 64), 6)
+        assert pointset._mask_ranks(gf, planes, ops).tolist() == [
             brute_rank(gf, m.tolist()) for m in stacks]
 
 
@@ -349,10 +350,11 @@ def _mask_planes(q, stacks):
 @pytest.mark.parametrize("words", [1, 2, 3])
 def test_mask_ranks_match_the_oracle(q, words):
     gf = field_of_order(q)
+    ops = pointset._plane_ops(gf)
     for stacks in _mask_stacks(q, words):
         planes = _mask_planes(q, stacks)
         assert planes[0].shape[1] == words or len(stacks[0]) < 64
-        assert pointset._mask_ranks(gf, planes).tolist() == [
+        assert pointset._mask_ranks(gf, planes, ops).tolist() == [
             brute_rank(gf, m.tolist()) for m in stacks]
 
 
@@ -393,16 +395,21 @@ def _line_plus_one(q, with_completer):
 
 
 def _single_ranks(monkeypatch, kernel="ranks"):
-    """Spy on a rank kernel of pointset (ranks or _ranks_gf2): the row
-    count of each one-matrix call."""
+    """Spy on a rank kernel of pointset: the row count of each one-matrix
+    call, every row of the (1, R, k) stack of ranks, and the nonzero rows,
+    the positions set in some column and plane, of the (k, w, 1) planes
+    of _mask_ranks."""
     single = []
     real = getattr(pointset, kernel)
 
-    def spy(*args):
-        stacks = next(a for a in args if isinstance(a, np.ndarray))
-        if len(stacks) == 1:
+    def spy(gf, stacks, *rest):
+        if kernel == "ranks" and len(stacks) == 1:
             single.append(len(stacks[0]))
-        return real(*args)
+        elif kernel == "_mask_ranks" and stacks[0].shape[2] == 1:
+            rows = np.bitwise_or.reduce([x.reshape(-1, x.shape[1])
+                                         for x in stacks], axis=(0, 1))
+            single.append(sum(bin(int(w)).count("1") for w in rows))
+        return real(gf, stacks, *rest)
 
     monkeypatch.setattr(pointset, kernel, spy)
     return single
@@ -455,7 +462,7 @@ def test_packed_is_cutting_exact_pass(monkeypatch):
     # over that hyperplane's 30 points finds the completer
     tails = [t for t in itertools.product(range(2), repeat=7) if sum(t) >= 5]
     assert brute_rank(field_of_order(2), tails) == 7
-    single = _single_ranks(monkeypatch, "_ranks_gf2")
+    single = _single_ranks(monkeypatch, "_mask_ranks")
     assert is_cutting(_plane_plus_subspace(tails, with_completer=True))
     assert single == [30]
     single.clear()
@@ -468,7 +475,7 @@ def test_packed_is_cutting_second_exact_stage(monkeypatch):
     # the subspace, and one exact rank over all of them, not one over a
     # prefix, decides
     tails = [t for t in itertools.product(range(2), repeat=7) if any(t)]
-    single = _single_ranks(monkeypatch, "_ranks_gf2")
+    single = _single_ranks(monkeypatch, "_mask_ranks")
     assert is_cutting(_plane_plus_subspace(tails, with_completer=True))
     assert single == [128]
     single.clear()
@@ -476,39 +483,39 @@ def test_packed_is_cutting_second_exact_stage(monkeypatch):
     assert single == [127]
 
 
-@pytest.mark.parametrize("q, stage, exact, unused", [
-    (2, "_mask_ranks", "_ranks_gf2", ("ranks",)),
-    (3, "_mask_ranks", "ranks", ("_ranks_gf2",)),
-    (4, "_mask_ranks", "ranks", ("_ranks_gf2",)),
-    (5, "ranks", "ranks", ("_mask_ranks", "_ranks_gf2")),
+@pytest.mark.parametrize("q, kernel, unused", [
+    (2, "_mask_ranks", "ranks"),
+    (3, "_mask_ranks", "ranks"),
+    (4, "_mask_ranks", "ranks"),
+    (5, "ranks", "_mask_ranks"),
 ], ids=["2-_ranks_gf2-ranks", "3-ranks-_ranks_gf2", "4-ranks-_ranks_gf2",
-        "5-ranks-_mask_ranks-_ranks_gf2"])
-def test_is_cutting_route(q, stage, exact, unused, monkeypatch):
-    # is_cutting's first stage ranks blocks of classes as bit masks at
-    # q <= 4 and as rows of element indices at q >= 5; its exact pass and
-    # the code dimension rank one matrix of rows, packed words at q = 2
+        "5-ranks-_mask_ranks-_ranks_gf2"])  # ids kept stable across kernels
+def test_is_cutting_route(q, kernel, unused, monkeypatch):
+    # each q has one rank kernel: is_cutting's sample of blocks of classes,
+    # its exact pass over one class and the code dimension all rank bit
+    # masks at q <= 4 and rows of element indices at q >= 5
     def refuse(*args):
         raise AssertionError(f"{args} reached an unused kernel at q = {q}")
 
-    for name in unused:
-        monkeypatch.setattr(pointset, name, refuse)
     calls = []  # (kernel, matrices) per call
-    for name in {stage, exact}:
-        def spy(*args, real=getattr(pointset, name), name=name):
-            arg = next(a for a in args if isinstance(a, (list, np.ndarray)))
-            calls.append((name, arg[0].shape[2] if isinstance(arg, list)
-                          else len(arg)))
-            return real(*args)
 
-        monkeypatch.setattr(pointset, name, spy)
+    def spy(*args, real=getattr(pointset, kernel)):
+        arg = args[1]
+        calls.append((kernel, arg[0].shape[2] if isinstance(arg, list)
+                       else len(arg)))
+        return real(*args)
+
+    for module in (pointset, code):  # dimension imports both kernels
+        monkeypatch.setattr(module, unused, refuse)
+        monkeypatch.setattr(module, kernel, spy)
     d = family4(field_of_order(q), 4, 3)
     assert is_cutting(d) and is_cutting(tilde_join(d, d))
     assert not is_cutting(family4(field_of_order(q), 4, 1, relaxed=True))
-    assert {name for name, matrices in calls if matrices > 1} == {stage}
-    assert (exact, 1) in calls  # the exact pass of the failing class
+    assert {name for name, matrices in calls if matrices > 1} == {kernel}
+    assert (kernel, 1) in calls  # the exact pass of the failing class
     calls.clear()
     assert dimension(d) == 4 and dimension(tilde_join(d, d)) == 5
-    assert calls == [(exact, 1), (exact, 1)]
+    assert calls == [(kernel, 1), (kernel, 1)]
 
 
 @pytest.mark.parametrize("q, k", [(2, 20), (3, 12)])
@@ -533,9 +540,18 @@ def test_is_cutting_builds_class_blocks_lazily(q, k, monkeypatch):
     assert 1 < block < pointset.functional_count(q, k) // 50
 
 
+def _scan_placed(gf, k, pts):
+    """A set whose point at position j of is_cutting's fixed scan order
+    is pts[j]."""
+    placed = [None] * len(pts)
+    for j, i in enumerate(np.random.default_rng(0).permutation(len(pts))):
+        placed[i] = pts[j]
+    return point_set(gf, k, tuple(placed))
+
+
 @pytest.mark.parametrize("q, ks", [(2, (4, 8)), (3, (3, 6)), (4, (3, 4))])
 def test_mask_stage_blocks_do_not_change_ranks(q, ks, monkeypatch):
-    # the cell cap sizes the mask stage's blocks of classes, from a few
+    # the cell cap sizes the mask route's blocks of classes, from a few
     # classes per block to all in one: every class's sample rank and the
     # first class that falls short are the same at every size, with a
     # window of one word and, at q = 4 and k >= 4, of two
@@ -544,6 +560,11 @@ def test_mask_stage_blocks_do_not_change_ranks(q, ks, monkeypatch):
     sets = [ctor(gf, k, h, relaxed=True)
             for f, ctor in sorted(FAMILIES.items()) for k in ks
             for h in sorted({2, FAMILY_H_MIN[f]}) if h <= k]  # 2: not cutting
+    if q == 4:  # x_1 = 0 holds a line in word 0 and two completers past it
+        plane = [(1,) + t for t in itertools.product(range(4), repeat=3)]
+        line = [(0, 0, 0, t) for t in (1, 2, 3)]
+        sets.append(_scan_placed(gf, 4, plane[:61] + line + [
+            (0, 0, 1, 0), (0, 1, 0, 0)] + plane[61:]))
     seen = []
     for cells in (24, pointset._MASK_CELLS, 2 ** 40):
         monkeypatch.setattr(pointset, "_MASK_CELLS", cells)
@@ -551,7 +572,7 @@ def test_mask_stage_blocks_do_not_change_ranks(q, ks, monkeypatch):
         for d in sets:
             k, c = d.dim, pointset.functional_count(q, d.dim)
             codes = d.codes[np.random.default_rng(0).permutation(len(d))]
-            stage = list(pointset._mask_stage(gf, k, codes))
+            stage = list(pointset._mask_route(gf, k, codes)[0])
             # 24 // (k w) classes per block, 3 to 8, and all in one
             size = max(1, cells // (k * pointset._window_words(q, k)))
             assert len(stage) == -(-c // size)
@@ -563,12 +584,24 @@ def test_mask_stage_blocks_do_not_change_ranks(q, ks, monkeypatch):
         seen.append(out)
     assert seen[0] == seen[1] == seen[2]
     assert None in [s for _, s in seen[0]] and any(s for _, s in seen[0])
+    # a sample is every zero of its class among the first 64w points in
+    # scan order; checked where w = 2, since the oracle is slow
+    for d, (sample, _) in zip(sets, seen[0]):
+        k, w = d.dim, pointset._window_words(q, d.dim)
+        if w > 1:
+            scan = np.random.default_rng(0).permutation(len(d))[: 64 * w]
+            window = [d.points[i] for i in scan]
+            fs = pointset._digits(pointset._class_codes(
+                q, k, np.arange(len(sample))), q, k).tolist()
+            assert sample == [brute_rank(gf, [x for x in window
+                                              if gf.dot(f, x) == 0])
+                              for f in fs]
 
 
 def _matches_the_table_kernel(q, ks, words, monkeypatch):
     """The first failing class of family sets at each k in ks and of their
     tilde joins, as found by is_cutting's route at q and by the q >= 5
-    stage and kernel; words is the mask stage's window at each k."""
+    route; words is the mask route's window at each k."""
     assert [pointset._window_words(q, k) for k in ks] == words
     gf = field_of_order(q)
     sets = []
@@ -579,17 +612,7 @@ def _matches_the_table_kernel(q, ks, words, monkeypatch):
                     d = ctor(gf, k, h, relaxed=True)
                     sets += [d, tilde_join(d, d)]
     routed = [first_short_class(d) for d in sets]
-
-    def table(gf, k, codes):  # the q > 2 kernel, at every q
-        return (pointset._digits(codes, gf.q, k),
-                partial(pointset.functional_values, gf),
-                partial(pointset.ranks, gf))
-
-    def rows(gf, k, codes):  # the q >= 5 stage, at q <= 4
-        return pointset._row_stage(gf, k, *table(gf, k, codes))
-
-    monkeypatch.setattr(pointset, "_kernel", table)
-    monkeypatch.setattr(pointset, "_mask_stage", rows)
+    monkeypatch.setattr(pointset, "_mask_route", pointset._table_route)
     assert routed == [first_short_class(d) for d in sets]
     assert None in routed and any(routed)
 

@@ -61,7 +61,7 @@ class Mutant:
 
 
 MUTANTS = (
-    # -- is_cutting's mask stage at q <= 4 -----------------------------------
+    # -- the mask route at q <= 4: is_cutting and the code dimension --------
     Mutant("gf3-add-planes-swapped", "src/mincodes/pointset.py",
            "return [(x2 | y2) ^ t, (x1 | y1) ^ t]",
            "return [(x1 | y1) ^ t, (x2 | y2) ^ t]",
@@ -113,6 +113,22 @@ MUTANTS = (
            "_MASK_CELLS // (k * words)", "_MASK_CELLS // k",
            (PS + "test_is_cutting_builds_class_blocks_lazily",
             PS + "test_mask_stage_blocks_do_not_change_ranks")),
+    Mutant("exact-pass-on-the-window", "src/mincodes/pointset.py",
+           "_zero_ranks(gf, k, masks, f[None], ops)",
+           "_zero_ranks(gf, k, window, f[None], ops)",
+           (PS + "test_packed_is_cutting_exact_pass",
+            PS + "test_packed_is_cutting_second_exact_stage")),
+    Mutant("window-one-word-short", "src/mincodes/pointset.py",
+           "window = [x[:, :words] for x in masks]",
+           "window = [x[:, : max(1, words - 1)] for x in masks]",
+           (PS + "test_mask_stage_blocks_do_not_change_ranks",)),
+    Mutant("q3-planes-without-the-residue", "src/mincodes/pointset.py",
+           "digits = digits % 3", "digits = digits",
+           (CODE + "test_dimension_matches_the_oracle",)),
+    Mutant("dimension-drops-a-column", "src/mincodes/code.py",
+           "planes = [x[..., None] for x in",
+           "planes = [x[1:, :, None] for x in",
+           (CODE + "test_dimension_matches_the_oracle",)),
     # -- the line test at q = 2 ---------------------------------------------
     Mutant("xor-past-k-20", "src/mincodes/code.py",
            "_XOR_MAX_K = 20", "_XOR_MAX_K = 21",
