@@ -4,13 +4,18 @@ Weights and supports are class invariants (scalar multiples of a
 functional permute nothing and rescale every entry), so the oracle finds
 the weight of one functional per projective class and multiplies counts
 by q-1.  Whether f.x = 0 depends only on the projective point of x too,
-so D is first reduced to its distinct projective points, each with its
+so D is reduced to its distinct projective points, each with its
 multiplicity (q-1 for every point of a family set, which is a cone).
-The oracle evaluates each class on every distinct projective point and
-adds the multiplicities of those off its hyperplane, or reads n minus
-the points on its hyperplane from one exact count over all functionals
-(k steps, each q^2 adds of contiguous int32 blocks), whichever a cost
-model fitted to timings of both routes says is faster.  Minimality is
+The oracle takes one of three exact routes, whichever a cost model
+fitted to timings of all three says is fastest.  The enumeration
+evaluates each class on every distinct projective point and adds the
+multiplicities of those off its hyperplane.  The transform reads n minus
+the points on each hyperplane from one count over all functionals (k
+steps, each q^2 adds of contiguous int32 blocks); it needs no reduction,
+and when it wins at the fewest projective points D can have, D is not
+reduced.  The incidence count lists, for each projective point, the
+classes through it, about 1/q of all (class, point) pairs, and reads n
+minus the multiplicities each class collects.  Minimality is
 decided from the same class weights, by a scan of the projective lines or,
 at q = 2, by an XOR convolution of the weight levels.
 """
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Optional, Sequence
+from typing import ClassVar, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -165,25 +170,98 @@ def _hyperplane_counts(gf: GF, k: int, codes: np.ndarray, mult: np.ndarray
     return t[0]
 
 
-def _transform_is_cheaper(gf: GF, k: int, r: int) -> bool:
-    """Whether :func:`_hyperplane_counts` takes less time than
-    enumerating the c classes on the r distinct projective points of D.
+def _incidence_counts(gf: GF, k: int, codes: np.ndarray, mult: np.ndarray
+                      ) -> np.ndarray:
+    """|D ∩ ker f| (c,) for every class f, in class order, for D given by
+    the codes (r,) of distinct projective points, of multiplicities
+    mult (r,) in increasing order.
 
-    Both costs are in nanoseconds.  A step of the transform adds q^(k+2)
-    cells, about 0.5 ns each, in q^2 block adds of about 3000 ns each.
-    The enumeration costs 14 per value over a prime field, 39 over a
-    prime power (k table lookups), and 500 per class.  The constants are
-    a least-squares fit, in relative error, to the times of both routes on
-    644 sets (2-vCPU VM, Python 3.11, numpy 2.4): every distinct set of
-    perfbench's three workloads and of acceptance criterion 9, 117 rows of
-    ``verify-all`` with 2047 < q^k <= 400000, and 224 seeded random sets,
-    q from 2 to 53 and k from 1 to 17.  Against always taking the faster
-    route, it loses 1.4 ms over all 644.
+    A class with lead s (f_s = 1, zero before s) holds x when
+    x_s + sum over i > s of f_i x_i is 0.  When x vanishes from s on,
+    all q^(k-1-s) classes with lead s hold it, and when only x_s is
+    nonzero from s on, none does.  Otherwise let j be the first i > s with
+    x_i != 0: the coefficients between s and j multiply zeros, so they are
+    free, and for each tail (f_(j+1), ..., f_(k-1)) one f_j solves the
+    equation.  So x lies on q^(k-2-s) classes, listed as the q^(k-1-j)
+    values f_j = -(x_s + sum over i > j of f_i x_i) / x_j of the forms
+    (1, tail) at -(x_s, x_(j+1), ..., x_(k-1)) / x_j, in blocks of _CHUNK
+    tails.  Each point adds its multiplicity at (f_j, tail), and that count
+    is added once for every value of the free coefficients.  No array is
+    larger than a block of _CHUNK tails by r points, or than the c counts.
+    """
+    q = gf.q
+    pts = _digits(codes, q, k)
+    # a nonzero sentinel at coordinate k: first is k when x is 0 after s
+    ends = np.concatenate([pts, np.ones((len(pts), 1), np.int64)], axis=1)
+    counts = np.zeros(functional_count(q, k), dtype=np.int64)
+    for s in range(k):
+        m = k - 1 - s
+        # the classes with lead s are the codes [q^m, 2 q^m), in order
+        lead = counts[functional_count(q, m):functional_count(q, m + 1)]
+        first = s + 1 + (ends[:, s + 1:] != 0).argmax(axis=1)
+        lead += mult[(first == k) & (pts[:, s] == 0)].sum()
+        for j in range(s + 1, k):
+            on = first == j
+            if not on.any():
+                continue
+            x, tail = pts[on], k - 1 - j
+            scale = gf.neg_table[gf.inv_table[x[:, j]]]
+            y = gf.mul_table[scale[:, None], x[:, [s, *range(j + 1, k)]]]
+            at = np.zeros(q ** (tail + 1), dtype=np.int64)
+            levels = list(_levels(mult[on]))
+            # the forms (1, tail) have the codes q^tail + tail
+            for fs in _class_blocks(q, tail + 1,
+                                    first=functional_count(q, tail)):
+                hits = (functional_values(gf, fs, y) * q ** tail
+                        + (fs[:, None] - q ** tail))  # at (f_j, tail)
+                for level, lo, hi in levels:
+                    at += level * np.bincount(hits[:, lo:hi].ravel(),
+                                              minlength=len(at))
+            free = lead.reshape(-1, len(at))
+            free += at
+    return counts
+
+
+def _levels(mult: np.ndarray) -> Iterator[tuple[int, int, int]]:
+    """(multiplicity, start, end) of each run of equal multiplicities in
+    mult, which is in increasing order: at most q-1 runs, one for a cone."""
+    levels, starts = np.unique(mult, return_index=True)
+    return zip(levels.tolist(), starts.tolist(),
+               np.append(starts[1:], len(mult)).tolist())
+
+
+def _cheapest_route(gf: GF, k: int, r: int) -> str:
+    """The route of :func:`class_weights` predicted to be fastest for r
+    distinct projective points in AG(k,q): "transform"
+    (:func:`_hyperplane_counts`), "incidence" (:func:`_incidence_counts`)
+    or "enumeration" (every class on every point).
+
+    The costs are in nanoseconds.  A step of the transform adds q^(k+2)
+    cells, about 0.5 ns each, in q^2 block adds of about 3000 ns each, and
+    does not depend on r.  The enumeration costs 14 per value over a prime
+    field, 39 over a prime power (k table lookups), and 500 per class.
+    The incidence count lists at most r(c-1)/q incidences, at 12 ns each
+    over a prime field and 24 over a prime power, plus 19000 k^2 for its at
+    most k(k-1)/2 groups of points with one lead s and one first nonzero
+    j after it.  The constants are a
+    least-squares fit, in relative error, to the times of the three routes
+    on 1,171 sets (2-vCPU VM, Python 3.11, numpy 2.4): every distinct row
+    of ``verify-all --qs 2,3,4,5,7,8,9 --max-points 400000``, which holds
+    perfbench's verify_sweep and acceptance criterion 9, perfbench's
+    large_q sets, and 239 seeded random sets with q from 2 to 53 and q^k
+    up to 3*10^5.  Refitting the transform and enumeration constants saved
+    no time, so they are those of the earlier two-route fit.  Against
+    always taking the fastest route, it loses 2.8 ms over all 1,171.
     """
     q, c = gf.q, functional_count(gf.q, k)
-    transform = k * (q ** (k + 2) // 2 + 3000 * q * q)
-    value = 14 if gf.m == 1 else 39
-    return transform < c * (value * r + 500)
+    prime = gf.m == 1
+    costs = {
+        "transform": k * (q ** (k + 2) // 2 + 3000 * q * q),
+        "enumeration": c * ((14 if prime else 39) * r + 500),
+        "incidence": (12 if prime else 24) * r * (c - 1) // q
+        + 19000 * k * k,
+    }
+    return min(costs, key=costs.__getitem__)
 
 
 def class_weights(d: DefiningSet, budget: int = DEFAULT_BUDGET
@@ -191,29 +269,36 @@ def class_weights(d: DefiningSet, budget: int = DEFAULT_BUDGET
     """The codeword weight (c,) of each projective class, in class order:
     the one pass over the classes, refused when over budget.
 
-    Both routes run over the r distinct projective points of D, with
-    their multiplicities.  The weights come from
-    :func:`_hyperplane_counts` when that costs less than evaluating every
-    class on each of the r points.  The budget charges classes times
-    n = len(D), at least r, so it bounds that evaluation.
+    The route is the one :func:`_cheapest_route` predicts to be fastest.
+    D has r >= n/(q-1) distinct projective points, n = len(D), and only the
+    transform's cost does not grow with r, so when the transform wins at
+    that bound it wins at r: it then counts D's own points, each once, and
+    D is never reduced.  Otherwise D is reduced to its projective points,
+    with their multiplicities, and the route is chosen again at r.  The
+    budget charges classes times n, which bounds the r values per class
+    the enumeration computes and the at most r(c-1)/q the incidence count
+    does; the transform runs only where it is predicted to be faster.
     """
     gf, k, n = d.field, d.dim, len(d)
     check_budget(gf.q, k, n, budget)
-    codes, mult = _projective_points(d)
-    if _transform_is_cheaper(gf, k, len(codes)):
+    codes, mult = d.codes, np.ones(n, dtype=np.int64)
+    route = _cheapest_route(gf, k, -(-n // (gf.q - 1)))
+    if route != "transform":
+        codes, mult = _projective_points(d)
+        route = _cheapest_route(gf, k, len(codes))
+    if route == "transform":
         classes = _class_codes(gf.q, k, np.arange(functional_count(gf.q, k)))
         return n - _hyperplane_counts(gf, k, codes, mult)[classes].astype(
             np.int64)
+    if route == "incidence":
+        return n - _incidence_counts(gf, k, codes, mult)
     pts = _digits(codes, gf.q, k)
-    # one group of points per multiplicity: at most q-1, one for a cone
-    levels, starts = np.unique(mult, return_index=True)
-    ends = np.append(starts[1:], len(pts))
     weights = []
     for fs in _class_blocks(gf.q, k):
         vals = functional_values(gf, fs, pts)
         w = np.zeros(len(vals), dtype=np.int64)
-        for m, lo, hi in zip(levels, starts, ends):
-            w += m * np.count_nonzero(vals[:, lo:hi], axis=1)
+        for level, lo, hi in _levels(mult):
+            w += level * np.count_nonzero(vals[:, lo:hi], axis=1)
         weights.append(w)
         del vals  # freed before the next block is computed
     return np.concatenate(weights)

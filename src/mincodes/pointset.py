@@ -283,12 +283,12 @@ def _class_codes(q: int, k: int, positions: np.ndarray) -> np.ndarray:
 _CHUNK = 512
 
 
-def _class_blocks(q: int, k: int,
-                  size: Optional[int] = None) -> Iterator[np.ndarray]:
-    """Class codes of AG(k,q) in blocks of size classes, _CHUNK when
-    none is given, each built when asked."""
+def _class_blocks(q: int, k: int, size: Optional[int] = None,
+                  first: int = 0) -> Iterator[np.ndarray]:
+    """Class codes of AG(k,q) from position first on, in blocks of size
+    classes, _CHUNK when none is given, each built when asked."""
     c, size = functional_count(q, k), size or _CHUNK
-    for lo in range(0, c, size):
+    for lo in range(first, c, size):
         yield _class_codes(q, k, np.arange(lo, min(lo + size, c)))
 
 

@@ -26,7 +26,6 @@ from mincodes.pointset import (
     _digits,
     family1,
     family2,
-    family3,
     family4,
     is_cutting,
     tilde_join,
@@ -213,16 +212,21 @@ def test_budget_exceeded_reports_cost():
         weight_distribution_bruteforce(d, budget=-1)
 
 
-def test_class_values_chunk_invariance(monkeypatch):
-    # the enumeration evaluates the classes in blocks of _CHUNK
-    d = family4(make_field(2, 2), 3, 3)
-    monkeypatch.setattr(code, "_transform_is_cheaper", lambda *args: False)
+ROUTES = ("transform", "incidence", "enumeration")
 
-    def weights(chunk):
+
+def test_class_values_chunk_invariance(monkeypatch):
+    # the enumeration evaluates the classes, and the incidence count the
+    # tails after a point's first nonzero, in blocks of _CHUNK
+    d = family4(make_field(2, 2), 3, 3)
+
+    def weights(route, chunk):
+        monkeypatch.setattr(code, "_cheapest_route", lambda *args: route)
         monkeypatch.setattr(pointset, "_CHUNK", chunk)
         return class_weights(d)
 
-    assert np.array_equal(weights(10 ** 6), weights(3))
+    for route in ROUTES:
+        assert np.array_equal(weights(route, 10 ** 6), weights(route, 3))
 
 
 def test_ab_check():
@@ -295,11 +299,12 @@ def test_weight_routes_agree_on_random_sets(q, monkeypatch):
     kinds = set()
     for d in random_sets(gf, random.Random(100 + q)):
         routes = []
-        for transform in (True, False):
-            monkeypatch.setattr(code, "_transform_is_cheaper",
-                                lambda *args: transform)
+        for route in ROUTES:
+            monkeypatch.setattr(code, "_cheapest_route",
+                                lambda *args: route)
             routes.append(class_weights(d))
-        assert np.array_equal(*routes), d
+        for wts in routes[1:]:
+            assert np.array_equal(routes[0], wts), d
         brute = brute_weight_distribution(d)
         for wts in routes:
             assert code._distribution(q, wts).counts() == brute, d
@@ -334,9 +339,9 @@ def test_weights_with_mixed_multiplicities(q, monkeypatch):
     empty = point_set(gf, 3, ())
     for d in (mixed, empty, family4(gf, 3, 3)):
         brute = brute_weight_distribution(d)
-        for transform in (True, False):
-            monkeypatch.setattr(code, "_transform_is_cheaper",
-                                lambda *args: transform)
+        for route in ROUTES:
+            monkeypatch.setattr(code, "_cheapest_route",
+                                lambda *args: route)
             assert code._distribution(q, class_weights(d)).counts() == brute
 
 
@@ -362,6 +367,38 @@ def test_hyperplane_counts_match_a_pure_python_count(q):
                 assert counts[_codes(np.array(f), q)] == want, (k, pts, f)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27])
+def test_incidence_counts_match_a_pure_python_count(q):
+    # |D ∩ ker f| for every class f, in class order, one scalar product at
+    # a time, for distinct projective points of mixed multiplicities; the
+    # unit vectors e_i vanish from every s > i on
+    gf = field_of_order(q)
+    rng = random.Random(500 + q)
+    vanishing = 0
+    for k in (1, 2, 3, 4):
+        classes = projective_functionals(q, k)
+        units = {tuple(int(i == j) for j in range(k)) for i in range(k)}
+        sizes = (0, 1, min(len(classes), 12))
+        for size in sizes + ((len(classes),) if len(classes) <= 200 else ()):
+            pts = rng.sample(classes, size)
+            if size > 1:
+                pts = sorted(set(pts) | units)
+            mult = sorted(rng.randint(1, 2 * q) for _ in pts)
+            vanishing += sum(not any(pt[s:]) for pt in pts for s in range(k))
+            codes = _codes(np.array(pts, dtype=np.int64).reshape(-1, k), q)
+            counts = code._incidence_counts(
+                gf, k, codes, np.array(mult, dtype=np.int64))
+            want = [sum(m for pt, m in zip(pts, mult) if gf.dot(f, pt) == 0)
+                    for f in classes]
+            assert counts.tolist() == want, (k, pts, mult)
+    assert vanishing > 0
+
+
+#: perfbench's large_q sets, (family, q, k, h)
+LARGE_Q = ((4, 49, 3, 3), (4, 53, 3, 3), (4, 32, 3, 3), (3, 13, 4, 3),
+           (2, 11, 4, 3), (1, 9, 4, 4))
+
+
 def test_class_weights_picks_the_cheaper_route(monkeypatch):
     class Chosen(Exception):
         pass
@@ -373,29 +410,75 @@ def test_class_weights_picks_the_cheaper_route(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(code, "_hyperplane_counts", stop("transform"))
+        patch.setattr(code, "_incidence_counts", stop("incidence"))
         patch.setattr(code, "functional_values", stop("enumeration"))
-        # few classes and many points: the transform's q^(k+2) cells make
-        # it 25 to 240 times slower than enumerating on these large_q sets
-        for q in (32, 49, 53):
-            with pytest.raises(Chosen, match="enumeration"):
-                class_weights(family4(field_of_order(q), 3, 3))
-        # many classes: the transform is about 2 and 1.3 times faster on
-        # the large_q sets at k = 4
-        for d in (family4(field_of_order(2), 10, 3),
-                  family3(field_of_order(13), 4, 3),
-                  family2(field_of_order(11), 4, 3)):
-            with pytest.raises(Chosen, match="transform"):
-                class_weights(d)
-        # 7,056 points would take the transform, their 147 projective
-        # points the enumeration
-        d = family4(field_of_order(49), 3, 3)
-        assert len(d) == 7056
-        assert code._transform_is_cheaper(d.field, 3, len(d))
+        # few classes and many points: on the large_q sets the pass is 1.4
+        # to 10 times faster with the incidence count than with the faster
+        # of the enumeration and the transform
+        for f, q, k, h in LARGE_Q:
+            with pytest.raises(Chosen, match="incidence"):
+                class_weights(FAMILIES[f](field_of_order(q), k, h))
+        # many classes at q = 2: the transform
+        with pytest.raises(Chosen, match="transform"):
+            class_weights(family4(field_of_order(2), 10, 3))
+        # few classes and few points: a verify_sweep row
         with pytest.raises(Chosen, match="enumeration"):
-            class_weights(d)
+            class_weights(family4(field_of_order(2), 4, 3))
 
-    # the enumeration evaluates each class on the distinct projective
-    # points only, and the budget's classes * n bounds the cells it does
+    # the route is first chosen at n/(q-1) points, the fewest projective
+    # points D can have: F4 at q = 49 is routed on its 147 projective
+    # points, never on its 7,056 points
+    chosen, seen = [], []
+    real_route, real_counts = code._cheapest_route, code._incidence_counts
+
+    def route(gf, k, r):
+        chosen.append((r, real_route(gf, k, r)))
+        return chosen[-1][1]
+
+    def incidence(gf, k, codes, mult):
+        seen.append(len(codes))
+        return real_counts(gf, k, codes, mult)
+
+    monkeypatch.setattr(code, "_cheapest_route", route)
+    monkeypatch.setattr(code, "_incidence_counts", incidence)
+    d = family4(field_of_order(49), 3, 3)
+    assert len(d) == 7056
+    class_weights(d)
+    assert chosen == [(147, "incidence")] * 2 and seen == [147]
+    # and F1 at q = 9, which takes the incidence count on its 365
+    # projective points (above), would take the transform on its 2,920
+    d = FAMILIES[1](field_of_order(9), 4, 4)
+    assert len(d) == 2920
+    assert real_route(d.field, 4, len(d)) == "transform"
+    # where the transform wins at that bound, D is never reduced: the
+    # transform counts D's own points, each once
+    reduced, counted = [], []
+    real_points = code._projective_points
+    real_transform = code._hyperplane_counts
+
+    def points(d):
+        reduced.append(d)
+        return real_points(d)
+
+    def transform(gf, k, codes, mult):
+        counted.append((codes, mult))
+        return real_transform(gf, k, codes, mult)
+
+    monkeypatch.setattr(code, "_projective_points", points)
+    monkeypatch.setattr(code, "_hyperplane_counts", transform)
+    d = family4(field_of_order(3), 5, 3)
+    chosen.clear()
+    want = brute_weight_distribution(d)
+    assert code._distribution(3, class_weights(d)).counts() == want
+    assert chosen == [(-(-len(d) // 2), "transform")] and not reduced
+    (codes, mult), = counted
+    assert codes is d.codes and mult.tolist() == [1] * len(d)
+    monkeypatch.undo()
+
+    # each value route evaluates on the distinct projective points only,
+    # the enumeration every class on all of them, the incidence count
+    # each point once for each lead s; the budget's classes * n bounds the
+    # cells of both: at most r values per class, and r(c-1)/q in all
     cells = []
     real = code.functional_values
 
@@ -405,18 +488,25 @@ def test_class_weights_picks_the_cheaper_route(monkeypatch):
 
     monkeypatch.setattr(code, "functional_values", spy)
     d = family4(field_of_order(49), 3, 3)
-    assert len(d) == 7056
-    class_weights(d)
-    assert {n for _, n in cells} == {147}
-    for q, k, h, ctor in ((49, 3, 3, family4), (53, 3, 3, family4),
-                          (32, 3, 3, family4),
-                          (13, 3, 3, family3), (11, 3, 3, family2),
-                          (2, 4, 4, family1)):
-        d = ctor(field_of_order(q), k, h)
+    for forced in ("enumeration", "incidence"):
+        monkeypatch.setattr(code, "_cheapest_route", lambda *args: forced)
         cells.clear()
         class_weights(d)
-        assert cells
-        assert sum(c * n for c, n in cells) <= functional_count(q, k) * len(d)
+        sizes = {n for _, n in cells}
+        if forced == "enumeration":
+            assert sizes == {147}
+        else:
+            assert max(sizes) <= 147
+    for f, q, k, h in LARGE_Q + ((1, 2, 4, 4),):
+        d = FAMILIES[f](field_of_order(q), k, h)
+        for forced in ("enumeration", "incidence"):
+            monkeypatch.setattr(code, "_cheapest_route",
+                                lambda *args: forced)
+            cells.clear()
+            class_weights(d)
+            assert cells
+            assert (sum(c * n for c, n in cells)
+                    <= functional_count(q, k) * len(d)), (f, q, forced)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

@@ -180,6 +180,31 @@ MUTANTS = (
            (CODE + "test_hyperplane_counts_match_a_pure_python_count",),
            equivalent="perm[f, x] depends on f * x only, and "
                       "multiplication commutes"),
+    # -- the incidence count and the transform bypass ------------------------
+    Mutant("incidence-vanishing-points-dropped", "src/mincodes/code.py",
+           "        lead += mult[(first == k) & (pts[:, s] == 0)].sum()\n", "",
+           (CODE + "test_incidence_counts_match_a_pure_python_count",
+            CODE + "test_weight_routes_agree_on_random_sets")),
+    Mutant("incidence-solves-the-last-nonzero", "src/mincodes/code.py",
+           "first = s + 1 + (ends[:, s + 1:] != 0).argmax(axis=1)",
+           "first = np.array([max([i for i in range(s + 1, k) if x[i]], "
+           "default=k) for x in pts.tolist()], dtype=np.int64)",
+           (CODE + "test_incidence_counts_match_a_pure_python_count",
+            CODE + "test_weight_routes_agree_on_random_sets")),
+    Mutant("incidence-without-the-m-0-class", "src/mincodes/code.py",
+           "for s in range(k):", "for s in range(k - 1):",
+           (CODE + "test_incidence_counts_match_a_pure_python_count",
+            CODE + "test_weight_routes_agree_on_random_sets")),
+    Mutant("incidence-multiplicity-as-1", "src/mincodes/code.py",
+           "at += level * np.bincount(", "at += np.bincount(",
+           (CODE + "test_incidence_counts_match_a_pure_python_count",
+            CODE + "test_weights_with_mixed_multiplicities")),
+    Mutant("bypass-seeds-the-projective-codes", "src/mincodes/code.py",
+           "codes, mult = d.codes, np.ones(n, dtype=np.int64)",
+           "codes = _projective_points(d)[0]\n"
+           "    mult = np.ones(len(codes), dtype=np.int64)",
+           (CODE + "test_weights_with_mixed_multiplicities",
+            CODE + "test_class_weights_picks_the_cheaper_route")),
     # -- field orders ---------------------------------------------------------
     Mutant("cap-checked-after-factoring", "src/mincodes/field.py",
            "    if q > MAX_ORDER:\n"
