@@ -16,12 +16,17 @@ and when it wins at the fewest projective points D can have, D is not
 reduced.  The incidence count lists, for each projective point, the
 classes through it, about 1/q of all (class, point) pairs, and reads n
 minus the multiplicities each class collects.  Minimality is
-decided from the same class weights, by a scan of the projective lines or,
-at q = 2, by an XOR convolution of the weight levels.
+decided from the same class weights: the weight levels alone settle most
+sets, and the rest take a scan of the projective lines, of all of them or
+of those through the classes that every violating line holds, or, at
+q = 2, an XOR convolution of the weight levels.  The code dimension ranks
+a fixed sample of D first, and all of D only when the sample's rank is
+short of k.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator, Optional, Sequence
@@ -70,15 +75,32 @@ def _codewords(d: DefiningSet, fs: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def dimension(d: DefiningSet) -> int:
-    """Rank over GF(q) of the matrix whose columns are the points of D, by
-    the one rank kernel of each q: column elimination on D's bit masks
-    (:func:`_mask_ranks`) at q <= 4, row reduction through the field
-    tables (:func:`ranks`) above."""
+    """Rank over GF(q) of the matrix whose columns are the points of D.
+
+    A fixed sample of D is ranked first: 64 points at q <= 4, one word of
+    bit masks, and 2k above, drawn in a fixed random order (a stride
+    through lex order can fall into a subspace).  The rank of D is at
+    most k, so a sample of rank k settles it; otherwise all of D is
+    ranked."""
     gf, k = d.field, d.dim
+    size = 64 if gf.q <= 4 else 2 * k
+    if len(d) > size:
+        pick = np.random.default_rng(0).choice(len(d), size, replace=False)
+        rank = _rank(gf, k, d.codes[pick])
+        if rank == k:
+            return rank
+    return _rank(gf, k, d.codes)
+
+
+def _rank(gf: GF, k: int, codes: np.ndarray) -> int:
+    """Rank over GF(q) of the points of codes (n,), by the one rank kernel
+    of each q: column elimination on their bit masks (:func:`_mask_ranks`)
+    at q <= 4, row reduction through the field tables (:func:`ranks`)
+    above."""
     if gf.q <= 4:
-        planes = [x[..., None] for x in _masks(gf.q, k, d.codes)]
+        planes = [x[..., None] for x in _masks(gf.q, k, codes)]
         return int(_mask_ranks(gf, planes, _plane_ops(gf))[0])
-    return int(ranks(gf, _digits(d.codes, gf.q, k)[None])[0])
+    return int(ranks(gf, _digits(codes, gf.q, k)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -352,6 +374,20 @@ def _translates(gf: GF, vs: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def _joins(gf: GF, vs: np.ndarray, m: int) -> np.ndarray:
+    """The base-q value of v + u*g at [v, g, u], for v in GF(q)^m of
+    base-q values vs, g the classes of AG(m,q) in class order, and u in
+    GF(q)."""
+    q = gf.q
+    gs = _class_codes(q, m, np.arange(functional_count(q, m)))
+    ug = gf.mul_table[_digits(gs, q, m).T]  # u * g_i at [i, g, u]
+    out = np.zeros((len(vs), len(gs), q), dtype=np.int64)
+    for v, g in zip(_digits(vs, q, m).T, ug):  # most significant first
+        out *= q
+        out += gf.add_table[v[:, None, None], g]
+    return out
+
+
 def is_minimal_direct(
     d: DefiningSet, budget: int = DEFAULT_BUDGET
 ) -> MinimalityResult:
@@ -362,28 +398,33 @@ def is_minimal_direct(
     the union of its supports: the heaviest class holds every other
     support on the line exactly when the sum is q times its weight.  A
     line with a zero class (dim C_D < k) holds multiples of one codeword
-    and is skipped.  Lines are visited once, by echelon basis (b leads
-    at p, a before p with a_p = 0; the points are b and a + s*b), in
-    increasing order of b, their smallest class.  The witness
-    (containing, contained) is the lexicographically smallest violating
-    pair, a line's smallest heaviest class and its smallest other class.
+    and is skipped.  The witness (containing, contained) is the
+    lexicographically smallest violating pair, a line's smallest heaviest
+    class and its smallest other class.
 
-    At q = 2 the same test is an XOR convolution of the weight levels
-    (:func:`_xor_line_test`), taken when it touches fewer cells than the
-    scan; it gives the same verdict and witness, and the budget charge
-    for the scan bounds it too.
+    The weight levels alone often settle the test (:func:`_level_filter`):
+    a set where no level can top a violating line is minimal.  Otherwise
+    :func:`_minimality` takes whichever route touches the fewest cells:
+    the scan of every line (:func:`_line_scan`), the scan of the lines
+    through the classes that every violating line holds, or, at q = 2, an
+    XOR convolution of the weight levels (:func:`_xor_line_test`).  All
+    give the same verdict and witness, and the budget charge for the scan
+    of every line bounds each of them.
     """
     _check_scan_budget(d, budget)
     return _minimality(d.field, d.dim, class_weights(d, budget))
 
 
 def _check_scan_budget(d: DefiningSet, budget: int) -> None:
-    """Refuse the class pass plus line scan of :func:`is_minimal_direct`
-    when over budget.  The scan visits q of the q+1 classes on each of
-    the c(c-1)/(q(q+1)) lines through the c classes, so each class is
-    charged the larger of n and (c-1)/(q+1), rounded up.  At q = 2 the
-    XOR convolution runs only when it touches fewer cells than the scan,
-    so the charge bounds whichever route runs."""
+    """Refuse the class pass plus line test of :func:`is_minimal_direct`
+    when over budget.  The scan of every line visits q of the q+1 classes
+    on each of the c(c-1)/(q(q+1)) lines through the c classes, so each
+    class is charged the larger of n and (c-1)/(q+1), rounded up.  That
+    charge bounds every part of the line test: the level filter stops
+    before its cells pass c times the larger of the heaviest weight, at
+    most n, and (c-1)/(q+1), rounded up, and the restricted scan and the
+    XOR convolution run only when they touch fewer cells than the full
+    scan."""
     q = d.field.q
     c = functional_count(q, d.dim)
     check_budget(q, d.dim, max(len(d), -(-(c - 1) // (q + 1))), budget)
@@ -391,67 +432,183 @@ def _check_scan_budget(d: DefiningSet, budget: int) -> None:
 
 def _minimality(gf: GF, k: int, wts: np.ndarray) -> MinimalityResult:
     """The line test of :func:`is_minimal_direct` over the class weights
-    wts (c,), in class order.  At q = 2 and k <= _XOR_MAX_K it is
-    :func:`_xor_line_test` when that touches fewer cells,
-    :func:`_xor_cells`, than the c(c-1)/3 the scan visits; otherwise, and
-    at every q > 2, it is :func:`_line_scan`."""
-    c = len(wts)
-    if gf.q == 2 and k <= _XOR_MAX_K:
-        levels, pairs = _level_pairs(wts)
-        if _xor_cells(k, levels, pairs) < c * (c - 1) // 3:
-            return _xor_line_test(k, wts, levels, pairs)
-    return _line_scan(gf, k, wts)
+    wts (c,), in class order.
+
+    A set with no feasible top (:func:`_level_filter`) is minimal.
+    Otherwise the route that touches the fewest cells runs, the full scan
+    on a tie: :func:`_line_scan` over every line, c(c-1)/(q+1) cells; the
+    same scan over the lines through the classes of a mandatory level or
+    of the feasible tops, whichever are fewest, c-1 cells per class; or,
+    at q = 2 and k <= _XOR_MAX_K, :func:`_xor_line_test` on the pairs of
+    levels that sum to a feasible top, :func:`_xor_cells`.  When the
+    filter does not run, every level counts as a feasible top and the
+    restricted scan is not offered."""
+    q, c = gf.q, len(wts)
+    levels, counts = np.unique(wts[wts > 0], return_counts=True)
+    tops, mandatory = _level_filter(q, c, levels) or (levels, None)
+    if not len(tops):
+        return MinimalityResult(True)
+    cells = {"scan": c * (c - 1) // (q + 1)}
+    if mandatory is not None:
+        size = dict(zip(levels.tolist(), counts.tolist()))
+        via = min([tops] + [[level] for level in mandatory],
+                  key=lambda ls: sum(map(size.__getitem__, ls)))
+        cells["through"] = sum(map(size.__getitem__, via)) * (c - 1)
+    if q == 2 and k <= _XOR_MAX_K:
+        sums = levels[:, None] + levels
+        i, j = np.nonzero(np.isin(sums, tops) & (levels[:, None] <= levels))
+        pairs = np.stack([i, j], axis=1)
+        cells["xor"] = _xor_cells(k, levels, pairs)
+    route = min(cells, key=cells.__getitem__)
+    if route == "xor":
+        return _xor_line_test(k, wts, levels, pairs)
+    return _line_scan(gf, k, wts, np.flatnonzero(np.isin(wts, via))
+                      if route == "through" else None)
 
 
-def _line_scan(gf: GF, k: int, wts: np.ndarray) -> MinimalityResult:
+def _level_filter(q: int, c: int, levels: np.ndarray
+                  ) -> Optional[tuple[list[int], list[int]]]:
+    """The feasible tops and the mandatory levels among the positive weight
+    levels (L,), increasing, of c classes, from the levels alone; None when
+    the filter's cells would pass its cap.
+
+    A violating line has a top class of weight T, and its other q classes
+    have positive levels l <= T whose weights sum to (q-1)T, so their
+    deficits T - l sum to T.  Classes at T itself add nothing, so T is a
+    feasible top only when some at most q deficits T - l, l < T a level,
+    sum to T (:func:`_reaches`).  A level l is mandatory when every
+    violating line holds a class at l: when no feasible top is below l,
+    and every one above l needs the deficit T - l.
+
+    The DP for a top T touches at most q * deficits * (T/g + 1) cells, one
+    bit each, g the gcd of its deficits, and the check of a level at most
+    the cells of the tops above it.  The filter stops before its cells
+    would pass c times the larger of the heaviest level and (c-1)/(q+1),
+    rounded up, which :func:`_check_scan_budget` charges: before the tops
+    it returns None, and before a level's check it returns the mandatory
+    levels found so far, in increasing order.
+    """
+    lv = levels.tolist()
+    if not lv:
+        return [], []
+    deficits = {t: [t - level for level in lv if level < t] for t in lv}
+    cost = {t: q * len(ds) * (t // math.gcd(*ds) + 1)
+            for t, ds in deficits.items() if ds}
+    left = c * max(lv[-1], -(-(c - 1) // (q + 1))) - sum(cost.values())
+    if left < 0:
+        return None
+    tops = [t for t in cost if _reaches(t, deficits[t], q)]
+    mandatory = []
+    for level in lv:
+        if not tops or level > tops[0]:
+            break
+        above = [t for t in tops if t > level]
+        left -= sum(map(cost.__getitem__, above))
+        if left < 0:
+            break
+        if not any(_reaches(t, [x for x in deficits[t] if x != t - level], q)
+                   for t in above):
+            mandatory.append(level)
+    return tops, mandatory
+
+
+def _reaches(t: int, steps: list[int], layers: int) -> bool:
+    """Whether t is a sum of at most `layers` of the positive integers
+    steps, repeats allowed: a bitset DP over the multiples of the steps'
+    gcd g up to t, one layer of shifts at a time, layers * steps *
+    (t/g + 1) cells at most."""
+    g = math.gcd(*steps)
+    if not steps or t % g:
+        return False
+    t, steps = t // g, [s // g for s in steps]
+    mask, reach = (2 << t) - 1, 1
+    for _ in range(layers):
+        grown = reach
+        for s in steps:
+            grown |= reach << s
+        grown &= mask
+        if grown >> t & 1:
+            return True
+        if grown == reach:
+            return False
+        reach = grown
+    return False
+
+
+def _line_scan(gf: GF, k: int, wts: np.ndarray,
+               through: Optional[np.ndarray] = None) -> MinimalityResult:
     """The line scan of :func:`is_minimal_direct` over the class weights
-    wts (c,), in class order, at any q."""
+    wts (c,), in class order, at any q: of every line, or of the lines
+    through the classes at positions through.
+
+    Lines are visited by echelon basis (b leads at p, a before p with
+    a_p = 0; the points are b and a + s*b), in increasing order of b,
+    their smallest class: by :func:`_translates`, for every b or for each
+    b in through.  A class f of through with lead p also lies on the lines
+    of g and f + u*g, u in GF(q), for each class g of larger lead; f + u*g
+    leads at p with entry 1, so no class is rescaled (:func:`_joins`).  A
+    line visited twice leaves the least violating pair as it is.
+    """
     q, c = gf.q, len(wts)
     # weight -1: a line with a zero class never sums to q times its max
     wts = np.where(wts > 0, wts, -1)
     # position of each lead's first class (later leads come first)
     first = [functional_count(q, k - 1 - lead) for lead in range(k)]
     best = c * c  # heaviest * c + other, over the violating lines
-    for p in range(k - 1, 0, -1):
+    for p in range(k - 1, -1, -1):
         m = k - 1 - p
-        # the class of each a that is zero after p
-        heads = np.concatenate([first[lead] + q ** (m + 1) * np.arange(
-            q ** (p - 1 - lead)) for lead in range(p)])
-        nv = max(1, _SCAN_CELLS // (len(heads) * q ** (m + 1)))
-        for v0 in range(0, q ** m, nv):
-            vs = np.arange(v0, min(v0 + nv, q ** m))  # b after p
-            b = first[p] + vs
-            # class of a + s*b at [a's head, b, s, a after p]
-            idx = heads[:, None, None, None] + _translates(gf, vs, m)
-            w = wts.take(idx)
-            top = np.maximum(w.max(axis=2), wts[b][:, None])
-            hits = np.nonzero(w.sum(axis=2) + wts[b][:, None] == q * top)
-            if hits[0].size:
-                line = np.concatenate([idx[hits[0], hits[1], :, hits[2]],
-                                       b[hits[1], None]], axis=1)
-                heavy = np.where(wts[line] == top[hits][:, None], line,
-                                 c).min(axis=1)
-                other = np.where(line != heavy[:, None], line, c).min(axis=1)
-                best = min(best, int((heavy * c + other).min()))
+        # b after p: the classes of lead p are first[p] + [0, q^m)
+        vs = (np.arange(q ** m) if through is None else through[
+            (through >= first[p]) & (through < first[p] + q ** m)] - first[p])
+        if p and len(vs):
+            # the class of each a that is zero after p
+            heads = np.concatenate([first[lead] + q ** (m + 1) * np.arange(
+                q ** (p - 1 - lead)) for lead in range(p)])
+            nv = max(1, _SCAN_CELLS // (len(heads) * q ** (m + 1)))
+            for v0 in range(0, len(vs), nv):
+                v = vs[v0:v0 + nv]
+                # class of a + s*b at [a's head, b, s, a after p]
+                idx = heads[:, None, None, None] + _translates(gf, v, m)
+                best = min(best, _least_violation(
+                    wts, q, idx, (first[p] + v)[:, None]))
+        if through is not None and m and len(vs):
+            nf = max(1, _SCAN_CELLS // (first[p] * q))
+            for f0 in range(0, len(vs), nf):
+                # class of f + u*g at [f, g, u]; the classes g of larger
+                # lead are the first first[p], in the order of _joins
+                idx = first[p] + _joins(gf, vs[f0:f0 + nf], m)
+                best = min(best, _least_violation(
+                    wts, q, idx, np.arange(first[p])))
     if best == c * c:
         return MinimalityResult(True)
     pair = _digits(_class_codes(q, k, np.array(divmod(best, c))), q, k)
     return MinimalityResult(False, tuple(map(tuple, pair.tolist())))
 
 
+def _least_violation(wts: np.ndarray, q: int, idx: np.ndarray,
+                     extra: np.ndarray) -> int:
+    """The least heaviest * c + other over the violating lines among those
+    of the classes idx[i, j, :, ...] along axis 2 and the class extra,
+    which broadcasts against idx without that axis; c * c when none
+    violates.  Zero weights in wts (c,) are -1."""
+    c = len(wts)
+    w, other = wts.take(idx), wts.take(extra)
+    top = np.maximum(w.max(axis=2), other)
+    hits = np.nonzero(w.sum(axis=2) + other == q * top)
+    if not hits[0].size:
+        return c * c
+    line = np.concatenate([np.moveaxis(idx, 2, -1)[hits],
+                           np.broadcast_to(extra, top.shape)[hits][:, None]],
+                          axis=1)
+    heavy = np.where(wts[line] == top[hits][:, None], line, c).min(axis=1)
+    rest = np.where(line != heavy[:, None], line, c).min(axis=1)
+    return int((heavy * c + rest).min())
+
+
 #: the largest k at which :func:`_xor_line_test` is exact in int64: a
 #: level's transform is at most 2^k in size, a sum of products of two at
 #: most (2^k)^2, and the inverse adds 2^k of those, so at most 2^(3k)
 _XOR_MAX_K = 20
-
-
-def _level_pairs(wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positive weight levels (L,) of wts, increasing, and the pairs
-    (P, 2) of indices i <= j of levels whose sum is a level."""
-    levels = np.unique(wts[wts > 0])
-    sums = levels[:, None] + levels
-    i, j = np.nonzero(np.isin(sums, levels) & (levels[:, None] <= levels))
-    return levels, np.stack([i, j], axis=1)
 
 
 def _xor_cells(k: int, levels: np.ndarray, pairs: np.ndarray) -> int:
@@ -482,8 +639,9 @@ def _xor_line_test(k: int, wts: np.ndarray, levels: np.ndarray,
                    pairs: np.ndarray) -> MinimalityResult:
     """The line test at q = 2 by XOR convolution of weight levels (Ding,
     Heng and Zhou, "Minimal binary linear codes", 2018): the answer of
-    :func:`_line_scan`, witness included, for the levels and pairs of
-    :func:`_level_pairs`.
+    :func:`_line_scan`, witness included, for the positive weight levels
+    (L,), increasing, and the pairs (P, 2) of indices i <= j of levels
+    whose sum is a level (or a feasible top, which every such sum is).
 
     A line holds f, g and f+g, and w(g) + w(f+g) >= w(f), with equality
     exactly when supp(g) lies in supp(f).  So f contains another nonzero

@@ -223,13 +223,24 @@ def _projective_points(d: DefiningSet) -> tuple[np.ndarray, np.ndarray]:
     """The codes (r,) of the distinct projective points of D, normalized
     (first nonzero entry 1), and their multiplicities (r,), in increasing
     order of multiplicity."""
-    gf, k = d.field, d.dim
-    if gf.q == 2:  # every nonzero point is its own projective point
-        return d.codes, np.ones(len(d), dtype=np.int64)
-    pts = _digits(d.codes, gf.q, k)
-    lead = pts[np.arange(len(pts)), (pts != 0).argmax(axis=1)]
-    normal = gf.mul_table[gf.inv_table[lead][:, None], pts]
-    codes, mult = np.unique(_codes(normal, gf.q), return_counts=True)
+    gf, q, codes = d.field, d.field.q, d.codes
+    if q == 2:  # every nonzero point is its own projective point
+        return codes, np.ones(len(d), dtype=np.int64)
+    # a code in [q^j, q^(j+1)) has its first nonzero digit at q^j, and that
+    # digit is code // q^j; each digit is scaled by its inverse in turn,
+    # least significant first, so no (n, k) array of digits is built
+    powers = q ** np.arange(d.dim)
+    lead = codes // powers[np.searchsorted(powers, codes, side="right") - 1]
+    inv = gf.inv_table.take(lead) * q
+    mul = gf.mul_table.ravel()
+    rest, normal = codes, np.zeros_like(codes)
+    for power in powers.tolist():
+        rest, digit = np.divmod(rest, q)
+        digit += inv
+        scaled = mul.take(digit)
+        scaled *= power
+        normal += scaled
+    codes, mult = np.unique(normal, return_counts=True)
     order = np.argsort(mult, kind="stable")
     return codes[order], mult[order]
 

@@ -265,17 +265,31 @@ def test_criterion_9_cutting_equals_minimality(monkeypatch):
     verdicts: dict = {}
     tilde_checked = set()
     instances = 0
-    # seconds spent in each check, per q, and the line test's route per q,
-    # reported on the acceptance line
+    # seconds spent in each check, per q, and the line test's route per q:
+    # settled by the weight levels, the scan of the lines through some
+    # classes, the XOR convolution or the scan of every line, reported on
+    # the acceptance line
     spent = {"is_cutting": Counter(), "is_cutting tilde": Counter(),
              "is_minimal_direct": Counter()}
     routes = Counter()
-    for name, route in (("_xor_line_test", "xor"), ("_line_scan", "scan")):
-        def spy(*args, real=getattr(code, name), route=route):
-            # the scan takes the field first; the convolution is q = 2 only
-            routes[args[0].q if route == "scan" else 2, route] += 1
-            return real(*args)
+    ran = []
 
+    def xor(*args, real=code._xor_line_test):
+        ran.append("xor")
+        return real(*args)
+
+    def scan(gf, k, wts, through, real=code._line_scan):
+        ran.append("scan" if through is None else "restricted")
+        return real(gf, k, wts, through)
+
+    def minimality(gf, k, wts, real=code._minimality):
+        ran.clear()
+        out = real(gf, k, wts)
+        routes[gf.q, ran[0] if ran else "settled"] += 1
+        return out
+
+    for name, spy in (("_xor_line_test", xor), ("_line_scan", scan),
+                      ("_minimality", minimality)):
         monkeypatch.setattr(code, name, spy)
 
     def timed(name, q, check, *args):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -20,6 +21,7 @@ from mincodes.field import field_of_order, make_field
 from mincodes.pointset import (
     FAMILIES,
     BudgetExceeded,
+    DefiningSet,
     ParameterError,
     _class_codes,
     _codes,
@@ -156,6 +158,36 @@ def test_dimension_matches_the_oracle(q):
         big.append((_span_sample(gf, rng, 62, 60, 100), 60))
     for d, r in sets + big:
         assert dimension(d) == brute_rank(gf, d.points) <= r
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_dimension_falls_back_when_the_sample_falls_short(q, monkeypatch):
+    # dimension ranks a fixed sample of D first and all of D when the
+    # sample's rank is below k: the hyperplane x_1 = 0 with e_1 added has
+    # rank k, though a sample of 64 points at q <= 4, 2k above, nearly
+    # always misses e_1, and the same set without e_1, and a random span
+    # of at most k - 2 vectors, have rank below k whatever the sample
+    gf = field_of_order(q)
+    k = {2: 11, 3: 7, 4: 6, 5: 5}.get(q, 4)
+    plane = [pt for pt in itertools.product(range(q), repeat=k)
+             if pt[0] == 0 and any(pt)]
+    e1 = (1,) + (0,) * (k - 1)
+    span = _span_sample(gf, random.Random(q), k, k - 2, 300)
+    ranked = []
+    real = code._rank
+
+    def rank(*args):
+        ranked.append(real(*args))
+        return ranked[-1]
+
+    monkeypatch.setattr(code, "_rank", rank)
+    for d, want in ((point_set(gf, k, tuple(plane + [e1])), k),
+                    (point_set(gf, k, tuple(plane)), k - 1),
+                    (span, min(brute_rank(gf, span.points), k - 2))):
+        assert len(d) > (64 if q <= 4 else 2 * k)
+        ranked.clear()
+        assert dimension(d) == brute_rank(gf, d.points) == want
+        assert ranked[0] < k and len(ranked) == 2, (d, ranked)
 
 
 def test_weight_distribution_examples():
@@ -612,69 +644,188 @@ class RouteChosen(Exception):
 
 
 def _line_routes(monkeypatch, run=True):
-    """Spies on the two line tests: the name of each that runs, in
-    order.  With run=False a spy raises RouteChosen in place of
-    running."""
+    """Spies on the line tests: the route of each that runs, in order,
+    "_xor_line_test", "_line_scan", or "through" for the scan of the lines
+    through some classes.  With run=False a spy raises RouteChosen in
+    place of running."""
     ran = []
     for name in ("_xor_line_test", "_line_scan"):
         def spy(*args, real=getattr(code, name), name=name):
-            ran.append(name)
+            through = name == "_line_scan" and args[3] is not None
+            ran.append("through" if through else name)
             if not run:
-                raise RouteChosen(name)
+                raise RouteChosen(ran[-1])
             return real(*args)
 
         monkeypatch.setattr(code, name, spy)
     return ran
 
 
-def _many_levels(k, seed):
-    """A seeded sparse set of AG(k,2) with many weight levels."""
+def _many_levels(k, seed, q=2):
+    """A seeded sparse set of AG(k,q) with many weight levels."""
     rng = random.Random(seed)
-    space = list(itertools.product(range(2), repeat=k))[1:]
-    return point_set(field_of_order(2), k, tuple(rng.sample(space, 3 * k)))
+    space = list(itertools.product(range(q), repeat=k))[1:]
+    return point_set(field_of_order(q), k, tuple(rng.sample(space, 3 * k)))
+
+
+def _filter(d):
+    """The feasible tops and mandatory levels of D's class weights."""
+    wts = class_weights(d)
+    return code._level_filter(d.field.q, len(wts), np.unique(wts[wts > 0]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_level_filter_matches_the_scan_and_the_oracle(q, monkeypatch):
+    # the line test, whichever route it takes, and the scan through the
+    # classes of the feasible tops and of each mandatory level give the
+    # verdict and witness of the scan of every line, and of the
+    # pure-Python oracle where it is quick; seeded random sets, sparse
+    # sets with many levels and the relaxed family sets with q^k <= 1024
+    # reach every route of this q
+    gf = field_of_order(q)
+    scan = code._line_scan
+    ran = _line_routes(monkeypatch)
+    sets = list(random_sets(gf, random.Random(400 + q)))
+    sets += [_many_levels(k, 400 + k, q) for k in range(4, 12)
+             if q ** k <= 2048]
+    k = 2
+    while q ** k <= 1024:
+        sets += [ctor(gf, k, h, relaxed=True)
+                 for _, ctor in sorted(FAMILIES.items())
+                 for h in range(1, k + 1)]
+        k += 1
+    verdicts, routes = set(), set()
+    for d in sets:
+        ran.clear()
+        res = is_minimal_direct(d)
+        routes.add(ran[0] if ran else "settled")
+        wts = class_weights(d)
+        assert res == scan(gf, d.dim, wts), d
+        if d.dim <= 5 and q ** d.dim <= 256:
+            witness = brute_is_minimal(d)
+            assert (res.minimal, res.witness) == (witness is None, witness), d
+        filtered = _filter(d)
+        if filtered is not None:
+            tops, mandatory = filtered
+            assert tops or res.minimal, d
+            for via in [tops] * bool(tops) + [[level] for level in mandatory]:
+                through = np.flatnonzero(np.isin(wts, via))
+                assert scan(gf, d.dim, wts, through) == res, (d, via)
+        verdicts.add(res.minimal)
+    assert verdicts == {True, False}
+    assert routes == {"settled", "through", "_line_scan"} | (
+        {"_xor_line_test"} if q == 2 else set())
+
+
+def test_level_filter_on_the_large_q_sets(monkeypatch):
+    # the weight levels, feasible tops and mandatory levels of perfbench's
+    # large_q sets: F1 at q = 9 has no feasible top and is settled; on the
+    # rest the rarest mandatory level is the minimum weight, and the scan
+    # runs through its classes alone
+    pinned = {
+        (4, 49, 3, 3): ([4656, 6912, 6960], [6960], [4656, 6912, 6960]),
+        (4, 53, 3, 3): ([5460, 8112, 8164], [8164], [5460, 8112, 8164]),
+        (4, 32, 3, 3): ([1953, 2883, 2914], [2914], [1953, 2883, 2914]),
+        (3, 13, 4, 3): ([9048, 10296, 10380, 10452, 10608, 10764],
+                        [10452, 10608, 10764], [9048]),
+        (2, 11, 4, 3): ([2310, 3300, 3310, 3410], [3410],
+                        [2310, 3300, 3410]),
+        (1, 9, 4, 4): ([2192, 2584, 2592, 2600, 2640, 2648], [], []),
+    }
+    through = []
+    real = code._line_scan
+
+    def scan(gf, k, wts, via):
+        through.append(via)
+        return real(gf, k, wts, via)
+
+    monkeypatch.setattr(code, "_line_scan", scan)
+    for (f, q, k, h), (levels, tops, mandatory) in pinned.items():
+        d = FAMILIES[f](field_of_order(q), k, h)
+        wts = class_weights(d)
+        assert np.unique(wts).tolist() == levels
+        assert _filter(d) == (tops, mandatory)
+        through.clear()
+        assert is_minimal_direct(d).minimal
+        if tops:
+            assert len(through) == 1
+            assert np.array_equal(through[0], np.flatnonzero(
+                wts == levels[0]))
+        else:
+            assert through == []
 
 
 def test_line_test_route(monkeypatch):
-    # at q = 2 a family set, with few weight levels, takes the XOR
-    # convolution and a sparse random set, with many, takes the scan;
-    # q > 2 always scans, and so does q = 2 past k = 20, where the
-    # convolution's sums could pass 2^63
+    # the weight levels settle most family sets, at q = 2 and above; the
+    # rest take the route of fewest cells: the scan through the classes
+    # of the rarest mandatory level, the scan of every line or, at q = 2,
+    # the XOR convolution; a set whose filter would pass its cap takes
+    # the cheaper of the other two; q = 2 past k = 20 never convolves,
+    # where the convolution's sums could pass 2^63
     ran = _line_routes(monkeypatch)
-    d = family1(field_of_order(2), 10, 4)
-    assert len(np.unique(class_weights(d))) <= 4
-    is_minimal_direct(d)
-    assert ran == ["_xor_line_test"]
+    gf2, gf3 = field_of_order(2), field_of_order(3)
+    # the same set inside the hyperplane x_11 = 0 of AG(11,2): its zero
+    # class is no weight level, and it settles too
+    flat = DefiningSet(gf2, 11, family1(gf2, 10, 4).codes * 2)
+    assert 0 in class_weights(flat)
+    for d, route in ((family1(gf2, 10, 4), []),
+                     (flat, []),
+                     (family1(gf3, 5, 4), []),
+                     (family4(gf2, 10, 2, relaxed=True), ["through"]),
+                     (family4(field_of_order(49), 3, 3), ["through"]),
+                     (_many_levels(8, 3), ["through"]),
+                     (_many_levels(11, 5), ["_xor_line_test"]),
+                     (_many_levels(9, 4), ["_line_scan"]),
+                     (_many_levels(4, 1, q=3), ["_line_scan"])):
+        ran.clear()
+        is_minimal_direct(d)
+        assert ran == route, d
+    # sixteen levels, nine of them feasible tops and none mandatory: the
+    # classes of the tops are too many for the restricted scan
+    tops, mandatory = _filter(_many_levels(9, 4))
+    assert len(tops) >= 9 and mandatory == []
+    assert _filter(family1(gf2, 10, 4)) == ([], [])
+    # forty levels at q = 3: the DP would pass the cap, so every level
+    # counts as a feasible top and the scan of every line runs
+    wts = np.arange(1, 41)
+    assert code._level_filter(3, 40, wts) is None
     ran.clear()
-    d = _many_levels(8, 3)
-    assert len(np.unique(class_weights(d))) >= 10
-    is_minimal_direct(d)
-    assert ran == ["_line_scan"]
-    ran.clear()
-    is_minimal_direct(family1(field_of_order(3), 5, 4))
+    code._minimality(gf3, 4, wts)
     assert ran == ["_line_scan"]
     ran = _line_routes(monkeypatch, run=False)
-    gf = field_of_order(2)
     for k, route in ((20, "_xor_line_test"), (21, "_line_scan")):
         # two levels, one the sum of the other with itself
         wts = np.arange(1, 2 ** k) % 2 + 1
         with pytest.raises(RouteChosen, match=route):
-            code._minimality(gf, k, wts)
+            code._minimality(gf2, k, wts)
 
 
 def test_line_test_charge_bounds_its_work(monkeypatch):
-    # the cost _check_scan_budget charges is at least the cells of the
-    # route that runs: the scan's index blocks, counted from the calls
-    # of _translates, or the XOR convolution's rows, counted from the
-    # calls of _walsh_hadamard and bounded by _xor_cells
+    # the cost _check_scan_budget charges is at least the cells of each
+    # part of the line test that runs: the level filter's DPs, counted
+    # from the calls of _reaches, and the route's, counted from the calls
+    # of _translates and _joins for the scans, of every line or of those
+    # through some classes, or from those of _walsh_hadamard, and bounded
+    # by _xor_cells, for the XOR convolution
     ran = _line_routes(monkeypatch)
-    cells, modeled = [], []
+    dp, cells, modeled, through = [], [], [], []
     real_translates, real_walsh = code._translates, code._walsh_hadamard
-    real_cells = code._xor_cells
+    real_cells, real_joins = code._xor_cells, code._joins
+    real_reaches, real_scan = code._reaches, code._line_scan
+
+    def reaches(t, steps, layers):
+        if steps:
+            dp.append(layers * len(steps) * (t // math.gcd(*steps) + 1))
+        return real_reaches(t, steps, layers)
 
     def translates(gf, vs, m):  # (b, s, u) for the q^(k-1-m) heads
         heads = functional_count(gf.q, d.dim - 1 - m)
         cells.append(heads * len(vs) * gf.q ** (m + 1))
         return real_translates(gf, vs, m)
+
+    def joins(gf, vs, m):  # (f, g, u)
+        cells.append(len(vs) * functional_count(gf.q, m) * gf.q)
+        return real_joins(gf, vs, m)
 
     def walsh(a):  # k passes over every cell
         cells.append(a.size * (a.shape[1].bit_length() - 1))
@@ -684,29 +835,42 @@ def test_line_test_charge_bounds_its_work(monkeypatch):
         modeled.append(real_cells(*args))
         return modeled[-1]
 
-    monkeypatch.setattr(code, "_translates", translates)
-    monkeypatch.setattr(code, "_walsh_hadamard", walsh)
-    monkeypatch.setattr(code, "_xor_cells", xor_cells)
+    def scan(gf, k, wts, via):
+        through.extend([] if via is None else via.tolist())
+        return real_scan(gf, k, wts, via)
+
+    for name, spy in (("_reaches", reaches), ("_translates", translates),
+                      ("_joins", joins), ("_walsh_hadamard", walsh),
+                      ("_xor_cells", xor_cells), ("_line_scan", scan)):
+        monkeypatch.setattr(code, name, spy)
+    ran = _line_routes(monkeypatch)
     gf2 = field_of_order(2)
-    for d, route in ((family4(gf2, 10, 2, relaxed=True), "_xor_line_test"),
+    for d, route in ((family4(gf2, 10, 2, relaxed=True), "through"),
                      (_many_levels(11, 5), "_xor_line_test"),
-                     (_many_levels(8, 3), "_line_scan"),
+                     (_many_levels(12, 2), "_xor_line_test"),
+                     (_many_levels(8, 3), "through"),
                      (_many_levels(9, 4), "_line_scan"),
-                     (family4(field_of_order(3), 5, 3), "_line_scan"),
-                     (family4(field_of_order(4), 4, 3), "_line_scan")):
-        for seen in (ran, cells, modeled):
+                     (family4(field_of_order(3), 5, 3), "settled"),
+                     (family4(field_of_order(4), 4, 3), "through"),
+                     (_many_levels(4, 1, q=3), "_line_scan")):
+        for seen in (ran, dp, cells, modeled, through):
             seen.clear()
         with pytest.raises(BudgetExceeded) as exc:
             code._check_scan_budget(d, 0)
         is_minimal_direct(d)
-        assert ran == [route], d
-        assert cells, d
-        if route == "_xor_line_test":
-            assert sum(cells) <= modeled[0] <= exc.value.required, d
+        assert ran == ([] if route == "settled" else [route]), d
+        charge = exc.value.required
+        assert sum(dp) <= charge, d
+        c = functional_count(d.field.q, d.dim)
+        if route == "settled":
+            assert dp and not cells, d
+        elif route == "_xor_line_test":
+            assert sum(cells) <= modeled[0] <= charge, d
+        elif route == "through":  # c - 1 cells per class
+            assert dp and through, d
+            assert sum(cells) == len(through) * (c - 1) <= charge, d
         else:  # q of the q + 1 classes of each line
-            c = functional_count(d.field.q, d.dim)
-            assert sum(cells) == c * (c - 1) // (d.field.q + 1), d
-            assert sum(cells) <= exc.value.required, d
+            assert sum(cells) == c * (c - 1) // (d.field.q + 1) <= charge, d
 
 
 def test_scale_invariant_weights_divisible():

@@ -129,13 +129,40 @@ MUTANTS = (
            "planes = [x[..., None] for x in",
            "planes = [x[1:, :, None] for x in",
            (CODE + "test_dimension_matches_the_oracle",)),
+    Mutant("dimension-returns-the-sample-rank", "src/mincodes/code.py",
+           "        if rank == k:\n            return rank\n",
+           "        return rank\n",
+           (CODE + "test_dimension_falls_back_when_the_sample_falls_short",)),
+    # -- the level filter and the scan through some classes -------------------
+    Mutant("filter-drops-a-level", "src/mincodes/code.py",
+           "lv = levels.tolist()", "lv = levels.tolist()[1:]",
+           (CODE + "test_level_filter_matches_the_scan_and_the_oracle",
+            CODE + "test_level_filter_on_the_large_q_sets")),
+    Mutant("filter-allows-q-minus-1-deficits", "src/mincodes/code.py",
+           "tops = [t for t in cost if _reaches(t, deficits[t], q)]",
+           "tops = [t for t in cost if _reaches(t, deficits[t], q - 1)]",
+           (CODE + "test_level_filter_matches_the_scan_and_the_oracle",
+            CODE + "test_level_filter_on_the_large_q_sets")),
+    Mutant("filter-counts-zero-weights-as-a-level", "src/mincodes/code.py",
+           "np.unique(wts[wts > 0], return_counts=True)",
+           "np.unique(wts[wts >= 0], return_counts=True)",
+           (CODE + "test_level_filter_matches_the_scan_and_the_oracle",
+            CODE + "test_line_test_route")),
+    Mutant("mandatory-ignores-the-level-as-a-top", "src/mincodes/code.py",
+           "above = [t for t in tops if t > level]",
+           "above = [t for t in tops if t >= level]",
+           (CODE + "test_level_filter_on_the_large_q_sets",)),
+    Mutant("scan-skips-lines-of-larger-lead", "src/mincodes/code.py",
+           "if through is not None and m and len(vs):",
+           "if through is not None and m < 0 and len(vs):",
+           (CODE + "test_level_filter_matches_the_scan_and_the_oracle",)),
     # -- the line test at q = 2 ---------------------------------------------
     Mutant("xor-past-k-20", "src/mincodes/code.py",
            "_XOR_MAX_K = 20", "_XOR_MAX_K = 21",
            (CODE + "test_line_test_route",)),
     Mutant("xor-route-when-dearer", "src/mincodes/code.py",
-           "if _xor_cells(k, levels, pairs) < c * (c - 1) // 3:",
-           "if _xor_cells(k, levels, pairs) > c * (c - 1) // 3:",
+           'cells["xor"] = _xor_cells(k, levels, pairs)',
+           'cells["xor"] = -_xor_cells(k, levels, pairs)',
            (CODE + "test_line_test_route",)),
     Mutant("xor-pairs-of-equal-levels-dropped", "src/mincodes/code.py",
            "(levels[:, None] <= levels)", "(levels[:, None] < levels)",
