@@ -5,6 +5,13 @@ Points are held as base-q codes (:func:`_codes`, x_1 most significant), so
 code order is lexicographic order.  Family constructors emit points in it,
 so every downstream artifact (codeword layout, serialized files,
 fixtures) is bit-stable.
+
+The cutting test (:func:`is_cutting`) walks the hyperplane classes in class
+order.  An echelon certificate (:func:`_echelon_certificate`) first proves
+most of them spanned without a rank, from one point of D at each trailing
+level, the position of a point's last nonzero coordinate; the rest are
+ranked on a sample of their points, and exactly when the sample falls
+short.
 """
 
 from __future__ import annotations
@@ -276,7 +283,11 @@ def _codes(rows: np.ndarray, q: int) -> np.ndarray:
 
 
 def _digits(codes: np.ndarray, q: int, k: int) -> np.ndarray:
-    """The rows (..., k) of element indices whose :func:`_codes` are codes."""
+    """The rows (..., k) of element indices whose :func:`_codes` are codes.
+    Where q = 2^b a digit is a b-bit field, read by shift and mask."""
+    if q & (q - 1) == 0:
+        b = q.bit_length() - 1
+        return codes[..., None] >> b * np.arange(k - 1, -1, -1) & q - 1
     return codes[..., None] // q ** np.arange(k - 1, -1, -1) % q
 
 
@@ -363,17 +374,27 @@ def _bit_planes(q: int, digits: np.ndarray) -> list[np.ndarray]:
             for b in range((q - 1).bit_length())]
 
 
+def _shifted(q: int, codes: np.ndarray, e) -> np.ndarray:
+    """codes // q^e, q <= 4, whose residues mod q are the digits e places
+    before the last: a shift at q = 2 and 4, where digits are bit fields."""
+    return codes // 3 ** e if q == 3 else codes >> (q.bit_length() - 1) * e
+
+
 def _masks(q: int, k: int, codes: np.ndarray) -> list[np.ndarray]:
     """The :func:`_bit_planes` of the points of codes (n,), q <= 4, as
     (k, w) uint64 masks, w = max(1, ceil(n / 64)): bit i of word j at
     [l, j] holds that plane's bit of coordinate l of point 64j + i; the bits
     past n are zero.  Built one coordinate at a time from codes // q^(k-1-l),
-    so no (n, k) array of digits is."""
+    a shift at q = 2 and 4, so no (n, k) array of digits is."""
     words = max(1, -(-len(codes) // 64))
     out = [np.zeros((k, 8 * words), dtype=np.uint8)
            for _ in range((q - 1).bit_length())]
     for l in range(k):
-        for x, bits in zip(out, _bit_planes(q, codes // q ** (k - 1 - l))):
+        # held until the next one replaces it: freed with the planes at
+        # once, it let the allocator hand its pages back, and faulting them
+        # in again made this loop about 4 times slower at n = 2^16
+        high = _shifted(q, codes, k - 1 - l)
+        for x, bits in zip(out, _bit_planes(q, high)):
             packed = np.packbits(bits, bitorder="little")
             x[l, : len(packed)] = packed
     return [x.view("<u8") for x in out]
@@ -494,34 +515,34 @@ def _window_words(q: int, k: int) -> int:
     return w
 
 
+def _block_size(q: int, k: int) -> int:
+    """Classes per block of :func:`_first_short_class`: at q <= 4 as many
+    as fit _MASK_CELLS words of a (k, w, C) plane of the mask route's
+    samples, and _CHUNK above."""
+    if q > 4:
+        return _CHUNK
+    return max(1, _MASK_CELLS // (k * _window_words(q, k)))
+
+
 def _mask_route(gf: GF, k: int, codes: np.ndarray):
-    """The (blocks, exact) of :func:`_first_short_class` at q <= 4, both
+    """The (sample, exact) of :func:`_first_short_class` at q <= 4, both
     ranked by :func:`_zero_ranks` on the masks of codes (n,), built once:
-    blocks of class codes (C,), as many as fit _MASK_CELLS words of a
-    (k, w, C) plane, with the rank of each class's zeros in the window,
-    the masks' first w words (w from :func:`_window_words`), and the rank
-    of one class's zeros among all of codes."""
+    the ranks of the zeros of classes of codes fs (C,) in the window, the
+    masks' first w words (w from :func:`_window_words`), and the rank of
+    one class's zeros among all of codes."""
     ops = _plane_ops(gf)
     masks = _masks(gf.q, k, codes)
-    words = _window_words(gf.q, k)
-    window = [x[:, :words] for x in masks]
-    blocks = ((fs, _zero_ranks(gf, k, window, fs, ops)) for fs in
-              _class_blocks(gf.q, k, max(1, _MASK_CELLS // (k * words))))
-    return blocks, lambda f: _zero_ranks(gf, k, masks, f[None], ops)[0]
+    window = [x[:, :_window_words(gf.q, k)] for x in masks]
+    return (lambda fs: _zero_ranks(gf, k, window, fs, ops),
+            lambda f: _zero_ranks(gf, k, masks, f[None], ops)[0])
 
 
 def _table_route(gf: GF, k: int, codes: np.ndarray):
-    """The (blocks, exact) of :func:`_first_short_class` at q >= 5, both
-    ranked by :func:`ranks` on the digits of codes (n,): blocks of class
-    codes with the rank of each class's first k + 8 zeros among the first
-    2q(k + 8) points, and the rank of one class's zeros among all of codes.
-
-    The blocks of both routes are generated, so a block's arrays live
-    until the next block's replace them.  Freed all at once, at the end
-    of a call per block, they let the allocator hand their pages back,
-    and faulting them in again made this stage about 15% slower at q = 7
-    (three times the page faults; 2-vCPU VM, numpy 2.4).
-    """
+    """The (sample, exact) of :func:`_first_short_class` at q >= 5, both
+    ranked by :func:`ranks` on the digits of codes (n,): the rank of each
+    class of codes fs (C,) on its first k + 8 zeros among the first
+    2q(k + 8) points, and the rank of one class's zeros among all of
+    codes."""
     pts = _digits(codes, gf.q, k)
     # such a prefix gives each hyperplane about 2(k+8) of its points, and
     # k+8 random points of a hyperplane span it with probability about
@@ -529,42 +550,192 @@ def _table_route(gf: GF, k: int, codes: np.ndarray):
     rows = k + 8
     prefix = pts[: 2 * gf.q * rows]
 
-    def blocks():
-        for fs in _class_blocks(gf.q, k):
-            vals = functional_values(gf, fs, prefix)
-            # each class's first `rows` points in the prefix, zero-padded
-            idx = np.argsort(vals != 0, axis=1, kind="stable")[:, :rows]
-            on = np.take_along_axis(vals == 0, idx, axis=1)
-            yield fs, ranks(gf, pts[idx] * on[..., None])
+    def sample(fs):
+        vals = functional_values(gf, fs, prefix)
+        # each class's first `rows` points in the prefix, zero-padded
+        idx = np.argsort(vals != 0, axis=1, kind="stable")[:, :rows]
+        on = np.take_along_axis(vals == 0, idx, axis=1)
+        return ranks(gf, pts[idx] * on[..., None])
 
     def exact(f):
         plane = pts[functional_values(gf, f[None], pts)[0] == 0]
         return ranks(gf, plane[None])[0]
 
-    return blocks(), exact
+    return sample, exact
+
+
+def _level_window(q: int, k: int,
+                  codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The window of :func:`_echelon_certificate`: the first 64 points of
+    codes (n,) at each trailing level l, as (k, 64) codes with the origin
+    in the empty slots, and the (k, 64) mask of the filled ones.  A point
+    is at level l when x_(l+1) is its last nonzero coordinate: its code has
+    k - 1 - l trailing zero digits, counted from its lowest set bit where
+    q = 2^b and one power of q at a time above."""
+    if q & (q - 1) == 0:
+        zeros = np.bitwise_count((codes & -codes) - 1) // (q.bit_length() - 1)
+    else:
+        zeros = np.zeros(len(codes), dtype=np.uint8)
+        at, power = np.arange(len(codes)), 1
+        while len(at):  # codes below q^k: at most k - 1 rounds
+            power *= q
+            at = at[codes[at] % power == 0]
+            zeros[at] += 1
+    level = (k - 1 - zeros).astype(np.uint8)
+    order = np.argsort(level, kind="stable")
+    counts = np.bincount(level, minlength=k)
+    first = np.cumsum(counts) - counts
+    keep = np.arange(len(codes)) - first[level[order]] < 64
+    present = np.arange(64) < counts[:, None]
+    window = np.zeros((k, 64), dtype=np.int64)
+    window[present] = codes[order[keep]]
+    return window, present
+
+
+def _mask_levels(gf: GF, k: int, window: np.ndarray, present: np.ndarray,
+                 lead: list[np.ndarray]):
+    """The (parents, top) of :func:`_echelon_certificate` at q <= 4, on the
+    :func:`_bit_planes` of the window, one uint64 word per level and
+    coordinate.  Each certified class carries its values at the window's
+    points of every level from its depth on, and its q children take them
+    plus t x_(j+1) by one :func:`_plane_ops` addition a word: their values
+    at level j give their zeros there, and the certified children carry
+    the rest down.  top(fs, rows) does the same at level k - 1 for the
+    classes of codes fs whose parents are at rows."""
+    q = gf.q
+    scale, add = _plane_ops(gf)
+    # xs[b][level, l]: plane b of coordinate l at that level's points
+    high = _shifted(q, window[:, None], np.arange(k - 1, -1, -1)[:, None])
+    xs = [np.packbits(x, axis=-1, bitorder="little").view("<u8")[..., 0]
+          for x in _bit_planes(q, high)]
+    on = np.packbits(present, axis=-1, bitorder="little").view("<u8")[:, 0]
+    ts = np.arange(q)[:, None]
+    terms = scale(ts[..., None], xs)  # t x_l at [t, level, l]
+    # the certified classes of depth j, in no fixed order, and their
+    # values at the levels from j on, [level, class]
+    fs = np.zeros(0, dtype=np.int64)
+    values = [np.zeros((k, 0), dtype=np.uint64) for _ in xs]
+    for j in range(k - 1):
+        # the children's values at levels j..k-1, (k - j, q, c)
+        child = add([v[:, None] for v in values],
+                    [t[:, j:, j].T[..., None] for t in terms])
+        # a zero at level j: a filled slot where every plane is 0
+        keep = (reduce(np.bitwise_or, [y[0] for y in child]) & on[j]
+                != on[j]).ravel()
+        fs = np.concatenate([lead[j], np.compress(keep, fs * q + ts)])
+        values = [np.concatenate(
+            [x[j + 1:, j, None][:, : len(lead[j])],
+             np.compress(keep, y[1:].reshape(k - 1 - j, -1), axis=1)],
+            axis=1) for x, y in zip(xs, child)]
+    order = np.argsort(fs)
+    values = [v[0, order] for v in values]
+
+    def top(codes, rows):
+        last = add([v[rows] for v in values],
+                   [t[codes % q, k - 1, k - 1] for t in terms])
+        return reduce(np.bitwise_or, last) & on[k - 1] != on[k - 1]
+
+    return fs[order], top
+
+
+def _table_levels(gf: GF, k: int, window: np.ndarray, present: np.ndarray,
+                   lead: list[np.ndarray]):
+    """The (parents, top) of :func:`_echelon_certificate` at q >= 5: the
+    children of the certified classes of each depth j are evaluated by
+    :func:`functional_values` on the window's points at level j, in blocks
+    of _CHUNK classes, and top(fs, rows) evaluates the classes of codes fs
+    at level k - 1."""
+    q = gf.q
+    pts = [_digits(w[p], q, k)[:, : j + 1]
+           for j, (w, p) in enumerate(zip(window, present))]
+
+    def zero(j, fs):
+        return (functional_values(gf, fs, pts[j]) == 0).any(axis=1)
+
+    fs = np.zeros(0, dtype=np.int64)
+    for j in range(k - 1):
+        kids = (fs[:, None] * q + np.arange(q)).ravel()
+        fs = np.concatenate([lead[j]] + [g[zero(j, g)] for g in np.split(
+            kids, range(_CHUNK, len(kids), _CHUNK))])
+    return fs, lambda codes, rows: zero(k - 1, codes)
+
+
+def _echelon_certificate(gf: GF, k: int, codes: np.ndarray) -> Callable:
+    """settled(fs): which classes of codes fs (C,) D is proved to span,
+    from the window of codes (n,), the first 64 points at each trailing
+    level (:func:`_level_window`).
+
+    Let s be the lead of class f, its first nonzero coordinate.  When
+    D ∩ ker f holds a point at every level but s - 1, those k - 1 points
+    have distinct last nonzero coordinates, so they are independent and
+    span ker f.  Every point at a level below s - 1 is a zero of f; above,
+    some point of the window at that level must be.  The classes of depth
+    j + 1, functionals of x_1..x_(j+1), are the lead class x_(j+1) and
+    g + t x_(j+1) for each class g of depth j and t = 0..q-1, in class
+    order.  One is certified when it is the lead class and every level
+    below j holds a point, or when its parent g is certified and it has a
+    zero at level j; so only the children of certified classes are
+    evaluated.  With two levels empty no class is certified and the window
+    is not read further.  The depths below k are settled here, and depth k
+    block by block, by :func:`_mask_levels` at q <= 4 and
+    :func:`_table_levels` above, from lead[j], the code of the lead class
+    of depth j + 1 when it is certified.  They give the certified classes
+    of depth k - 1 (parents) and the zeros at level k - 1 of the classes
+    whose parents are among them.
+    """
+    q = gf.q
+    window, present = _level_window(q, k, codes)
+    filled = present.any(axis=1)
+    if k - filled.sum() > 1:
+        return lambda fs: np.zeros(len(fs), dtype=bool)
+    # the lead class of depth j + 1 is certified when every level below j
+    # holds a point, and lead[j] is then its code
+    empty = filled.argmin() if not filled.all() else k
+    lead = [np.ones(int(j <= empty), dtype=np.int64) for j in range(k - 1)]
+    parents, top = (_mask_levels if q <= 4 else _table_levels)(
+        gf, k, window, present, lead)
+
+    def settled(fs):
+        out = (fs == 1) & (k - 1 <= empty)
+        if len(parents):
+            rows = np.minimum(np.searchsorted(parents, fs // q),
+                              len(parents) - 1)
+            out |= (parents[rows] == fs // q) & top(fs, rows)
+        return out
+
+    return settled
 
 
 def _first_short_class(d: DefiningSet, budget: int) -> Optional[int]:
     """The code of the first class, in class order, whose hyperplane D
     fails to span, or None when D is cutting.
 
-    Blocks of classes are ranked together on a sample of each hyperplane's
-    points, drawn from D in a fixed shuffled order (lex order crowds a
-    hyperplane's points onto a few).  A class whose sample falls short of
-    rank k-1 is ranked again on all of its points, one class at a time, so
-    memory stays bounded.  q picks one route for both stages:
+    Blocks of classes are first settled by :func:`_echelon_certificate`,
+    which proves most hyperplanes of a spanning set spanned from a window
+    of D, drawn in a fixed shuffled order (lex order crowds a hyperplane's
+    points onto a few).  The classes it leaves are ranked together on a
+    sample of each hyperplane's points, from the same order, and a class
+    whose sample falls short of rank k-1 is ranked again on all of its
+    points, one class at a time, so memory stays bounded.  q picks one
+    route for both ranks, built only when a class reaches it:
     :func:`_mask_route` at q <= 4 and :func:`_table_route` above.  A
-    failing class falls short on every sample, so the sample decides only
-    how many classes take that exact pass, never which class is returned.
+    certified class spans and a failing class falls short on every sample,
+    so the certificate and the sample decide only how many classes take
+    the exact pass, never which class is returned.
     """
-    gf, k = d.field, d.dim
-    check_budget(gf.q, k, len(d), budget)
+    gf, q, k = d.field, d.field.q, d.dim
+    check_budget(q, k, len(d), budget)
     codes = d.codes[np.random.default_rng(0).permutation(len(d))]
-    blocks, exact = (_mask_route if gf.q <= 4 else _table_route)(gf, k, codes)
-    for fs, sample_ranks in blocks:
-        for f in fs[sample_ranks < k - 1]:
-            if exact(f) < k - 1:
-                return int(f)
+    settled = _echelon_certificate(gf, k, codes)
+    route = None
+    for fs in _class_blocks(q, k, _block_size(q, k)):
+        fs = fs[~settled(fs)]
+        if len(fs):
+            sample, exact = route = route or (
+                _mask_route if q <= 4 else _table_route)(gf, k, codes)
+            for f in fs[sample(fs) < k - 1]:
+                if exact(f) < k - 1:
+                    return int(f)
     return None
 
 
@@ -573,12 +744,16 @@ def is_cutting(d: DefiningSet, budget: int = DEFAULT_BUDGET) -> bool:
     spans that (k-1)-dimensional hyperplane: iff
     :func:`_first_short_class` finds no class that falls short.
 
-    At q <= 4 every rank is taken on bit masks, and each class is first
-    ranked on all of its zeros among the first 64w points of D in a fixed
-    shuffled order; w is the fewest words for which a class's expected
-    zeros there, 64w/q, exceed k - 1 by four binomial standard deviations,
-    so a class whose hyperplane D spans rarely takes the exact pass.  At
-    q >= 5 every rank is a row reduction, each class's first on its first
-    k + 8 zeros among the first 2q(k + 8) points.
+    Most classes of a spanning set are settled without a rank: D holds one
+    zero of the class at each trailing level but the lead's, among the
+    first 64 points of that level in a fixed shuffled order, and such
+    points are triangular (:func:`_echelon_certificate`).  The rest are
+    ranked: at q <= 4 on bit masks, first on all of a class's zeros among
+    the first 64w points of D in that order; w is the fewest words for
+    which a class's expected zeros there, 64w/q, exceed k - 1 by four
+    binomial standard deviations, so a class whose hyperplane D spans
+    rarely takes the exact pass.  At q >= 5 every rank is a row reduction,
+    each class's first on its first k + 8 zeros among the first 2q(k + 8)
+    points.
     """
     return _first_short_class(d, budget) is None

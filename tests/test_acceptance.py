@@ -12,7 +12,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mincodes import code, combinat, spectra
+from mincodes import code, combinat, pointset, spectra
 from mincodes.code import (
     ab_check,
     codeword,
@@ -265,14 +265,29 @@ def test_criterion_9_cutting_equals_minimality(monkeypatch):
     verdicts: dict = {}
     tilde_checked = set()
     instances = 0
-    # seconds spent in each check, per q, and the line test's route per q:
+    # seconds spent in each check, per q, the line test's route per q:
     # settled by the weight levels, the scan of the lines through some
-    # classes, the XOR convolution or the scan of every line, reported on
-    # the acceptance line
+    # classes, the XOR convolution or the scan of every line, and the
+    # classes is_cutting's echelon certificate settled or sent to the
+    # sample route per q, reported on the acceptance line
     spent = {"is_cutting": Counter(), "is_cutting tilde": Counter(),
              "is_minimal_direct": Counter()}
     routes = Counter()
+    certified = Counter()
     ran = []
+
+    def certificate(gf, k, codes, real=pointset._echelon_certificate):
+        settled = real(gf, k, codes)
+
+        def counted(fs):
+            out = settled(fs)
+            certified[gf.q, "settled"] += int(out.sum())
+            certified[gf.q, "sampled"] += int((~out).sum())
+            return out
+
+        return counted
+
+    monkeypatch.setattr(pointset, "_echelon_certificate", certificate)
 
     def xor(*args, real=code._xor_line_test):
         ran.append("xor")
@@ -339,10 +354,14 @@ def test_criterion_9_cutting_equals_minimality(monkeypatch):
 
     line_tests = ", ".join(f"q={q} {route} {n}"
                            for (q, route), n in sorted(routes.items()))
+    certificate = ", ".join(
+        f"q={q} {certified[q, 'settled']} settled {certified[q, 'sampled']} "
+        f"sampled" for q in sorted({q for q, _ in certified}))
 
     _announce(9, f"{instances} instances ({len(verdicts)} distinct sets): "
                  f"is_cutting == is_minimal_direct everywhere "
                  f"({non_cutting} agreed non-minimal, on the same first "
                  f"class), tilde joins of cutting sets cutting, in "
                  f"{elapsed:.1f}s (" + ", ".join(map(split, spent))
-                 + f"; line test {line_tests})")
+                 + f"; line test {line_tests}; classes of is_cutting "
+                 f"{certificate})")

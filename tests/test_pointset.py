@@ -17,6 +17,7 @@ from mincodes.pointset import (
     family2,
     family3,
     family4,
+    functional_count,
     is_cutting,
     is_scale_invariant,
     tilde_join,
@@ -415,11 +416,20 @@ def _single_ranks(monkeypatch, kernel="ranks"):
     return single
 
 
+def _certify_nothing(monkeypatch):
+    """Send every class to the sample route, as if the echelon certificate
+    settled none; it would settle the hyperplanes that the sets below
+    span, and the tests that use this pin the ranks taken on them."""
+    monkeypatch.setattr(pointset, "_echelon_certificate",
+                        lambda gf, k, codes: lambda fs: np.zeros(len(fs), bool))
+
+
 def test_is_cutting_exact_pass(monkeypatch):
     # q - 1 = 12 > k + 8 points of x_1 = 0 lie on one line, so the first
     # k + 8 of them in scan order fall short of rank 2, and only the exact
     # pass, one rank over all of that hyperplane's points, finds the
     # completer; the scan's prefix holds all of D (n < 2q(k+8))
+    _certify_nothing(monkeypatch)
     single = _single_ranks(monkeypatch)
     d = _line_plus_one(13, with_completer=True)
     assert len(d) < 2 * 13 * 11
@@ -434,6 +444,7 @@ def test_is_cutting_second_exact_stage(monkeypatch):
     # q - 1 = 46 > 4(k + 8) = 44 points of x_1 = 0 lie on one line: a
     # short hyperplane far longer than the scan's prefix is still settled
     # by one exact rank over all of its points, not by one over a prefix
+    _certify_nothing(monkeypatch)
     single = _single_ranks(monkeypatch)
     assert is_cutting(_line_plus_one(47, with_completer=True))
     assert single == [47]
@@ -462,6 +473,7 @@ def test_packed_is_cutting_exact_pass(monkeypatch):
     # over that hyperplane's 30 points finds the completer
     tails = [t for t in itertools.product(range(2), repeat=7) if sum(t) >= 5]
     assert brute_rank(field_of_order(2), tails) == 7
+    _certify_nothing(monkeypatch)
     single = _single_ranks(monkeypatch, "_mask_ranks")
     assert is_cutting(_plane_plus_subspace(tails, with_completer=True))
     assert single == [30]
@@ -475,6 +487,7 @@ def test_packed_is_cutting_second_exact_stage(monkeypatch):
     # the subspace, and one exact rank over all of them, not one over a
     # prefix, decides
     tails = [t for t in itertools.product(range(2), repeat=7) if any(t)]
+    _certify_nothing(monkeypatch)
     single = _single_ranks(monkeypatch, "_mask_ranks")
     assert is_cutting(_plane_plus_subspace(tails, with_completer=True))
     assert single == [128]
@@ -493,7 +506,11 @@ def test_packed_is_cutting_second_exact_stage(monkeypatch):
 def test_is_cutting_route(q, kernel, unused, monkeypatch):
     # each q has one rank kernel: is_cutting's sample of blocks of classes,
     # its exact pass over one class and the code dimension all rank bit
-    # masks at q <= 4 and rows of element indices at q >= 5
+    # masks at q <= 4 and rows of element indices at q >= 5; the echelon
+    # certificate ranks nothing, and it would settle every class of these
+    # cutting sets
+    _certify_nothing(monkeypatch)
+
     def refuse(*args):
         raise AssertionError(f"{args} reached an unused kernel at q = {q}")
 
@@ -551,10 +568,12 @@ def _scan_placed(gf, k, pts):
 
 @pytest.mark.parametrize("q, ks", [(2, (4, 8)), (3, (3, 6)), (4, (3, 4))])
 def test_mask_stage_blocks_do_not_change_ranks(q, ks, monkeypatch):
-    # the cell cap sizes the mask route's blocks of classes, from a few
-    # classes per block to all in one: every class's sample rank and the
-    # first class that falls short are the same at every size, with a
-    # window of one word and, at q = 4 and k >= 4, of two
+    # the cell cap sizes the blocks of classes of is_cutting at q <= 4,
+    # from a few classes per block to all in one: every class's sample
+    # rank and the first class that falls short, with every class sent to
+    # the sample, are the same at every size, with a window of one word
+    # and, at q = 4 and k >= 4, of two
+    _certify_nothing(monkeypatch)
     assert pointset._window_words(q, ks[-1]) == (2 if q == 4 else 1)
     gf = field_of_order(q)
     sets = [ctor(gf, k, h, relaxed=True)
@@ -572,12 +591,15 @@ def test_mask_stage_blocks_do_not_change_ranks(q, ks, monkeypatch):
         for d in sets:
             k, c = d.dim, pointset.functional_count(q, d.dim)
             codes = d.codes[np.random.default_rng(0).permutation(len(d))]
-            stage = list(pointset._mask_route(gf, k, codes)[0])
+            sample = pointset._mask_route(gf, k, codes)[0]
+            stage = list(pointset._class_blocks(
+                q, k, pointset._block_size(q, k)))
             # 24 // (k w) classes per block, 3 to 8, and all in one
             size = max(1, cells // (k * pointset._window_words(q, k)))
             assert len(stage) == -(-c // size)
             assert (len(stage) > 1) == (cells == 24)
-            fs, ranks = (np.concatenate(x) for x in zip(*stage))
+            fs = np.concatenate(stage)
+            ranks = np.concatenate([sample(block) for block in stage])
             assert fs.tolist() == pointset._class_codes(
                 q, d.dim, np.arange(c)).tolist()
             out.append((ranks.tolist(), first_short_class(d)))
@@ -601,7 +623,9 @@ def test_mask_stage_blocks_do_not_change_ranks(q, ks, monkeypatch):
 def _matches_the_table_kernel(q, ks, words, monkeypatch):
     """The first failing class of family sets at each k in ks and of their
     tilde joins, as found by is_cutting's route at q and by the q >= 5
-    route; words is the mask route's window at each k."""
+    route, with every class sent to the sample; words is the mask route's
+    window at each k."""
+    _certify_nothing(monkeypatch)
     assert [pointset._window_words(q, k) for k in ks] == words
     gf = field_of_order(q)
     sets = []
@@ -627,6 +651,168 @@ def test_packed_is_cutting_matches_the_table_kernel(monkeypatch):
 def test_mask_stage_matches_the_table_kernel(q, ks, monkeypatch):
     # the window is one word at the smaller k and two at the larger
     _matches_the_table_kernel(q, ks, [1, 2], monkeypatch)
+
+
+def _trailing(pt):
+    """The trailing level of a point: the index of its last nonzero
+    coordinate."""
+    return max(i for i, x in enumerate(pt) if x)
+
+
+def _certificate_sets(q):
+    """Sets of AG(k,q), k >= 2 and at most 256 classes, for the echelon
+    certificate: random ones from sparse to dense, each again with one
+    trailing level emptied, and the whole space with a single point left
+    at level 1.  Most levels hold fewer than 64 points; in the dense sets
+    the last holds more wherever (q - 1) q^(k-1) > 64, so that the window
+    is a strict part of it."""
+    gf = field_of_order(q)
+    rng = random.Random(q)
+    k = 2
+    while functional_count(q, k) <= 256:
+        space = [pt for pt in itertools.product(range(q), repeat=k)
+                 if any(pt)]
+        for n in (k, 2 * k, 4 * k, len(space) // 3, len(space) - 1):
+            pts = rng.sample(space, min(n, len(space)))
+            yield point_set(gf, k, tuple(pts))
+            gone = rng.randrange(k)
+            yield point_set(gf, k, tuple(x for x in pts
+                                         if _trailing(x) != gone))
+        yield point_set(gf, k, tuple(x for x in space if _trailing(x) != 1)
+                        + ((1, 1) + (0,) * (k - 2),))
+        k += 1
+
+
+def _settled(d):
+    """The certificate's verdict on every class of D, in class order, from
+    D in is_cutting's fixed shuffled order, and the class codes."""
+    q, k = d.field.q, d.dim
+    codes = d.codes[np.random.default_rng(0).permutation(len(d))]
+    fs = pointset._class_codes(q, k, np.arange(functional_count(q, k)))
+    return pointset._echelon_certificate(d.field, k, codes)(fs), fs
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_echelon_certificate_is_sound(q):
+    # every class the certificate settles has zeros in D of rank k - 1:
+    # on random sets, on sets with one trailing level empty, and on sets
+    # whose levels hold fewer than 64 points, where the window's empty
+    # slots (the origin, a zero of every class) must not count
+    gf = field_of_order(q)
+    seen = set()
+    for d in _certificate_sets(q):
+        settled, fs = _settled(d)
+        k = d.dim
+        for f, ok in zip(pointset._digits(fs, q, k).tolist(), settled):
+            if ok:
+                zeros = [x for x in d.points if gf.dot(f, x) == 0]
+                assert brute_rank(gf, zeros) == k - 1, (d, f)
+        empty = k - len({_trailing(x) for x in d.points})
+        seen.add((empty, bool(settled.any()), bool(settled.all())))
+    # some classes are left, and some sets are settled whole, with no level
+    # empty; with one empty, some are settled; with two, none
+    assert {(0, True, False), (0, True, True), (1, True, False),
+            (2, False, False)} <= seen
+
+
+def test_certificate_keeps_the_first_short_class(monkeypatch):
+    # a certified class's hyperplane is spanned, so the first class that
+    # falls short is the one found with every class sent to the sample:
+    # on family sets, relaxed ones that fail, their tilde joins, random
+    # sets, and F2(h = 3) at q = 3, k = 3, cutting, whose certificate
+    # leaves 3 of its 13 classes to the sample route
+    sets = []
+    for q in (2, 3, 4, 5, 7):
+        gf = field_of_order(q)
+        for f, ctor in sorted(FAMILIES.items()):
+            for k in (3, 4):
+                for h in sorted({2, FAMILY_H_MIN[f], k}):
+                    if h <= k:
+                        d = ctor(gf, k, h, relaxed=True)
+                        sets += [d, tilde_join(d, d)]
+        sets += list(_certificate_sets(q))[::3]
+    partial = family2(field_of_order(3), 3, 3)
+    settled, _ = _settled(partial)
+    assert is_cutting(partial) and (~settled).sum() == 3
+    sets.append(partial)
+    found = [first_short_class(d) for d in sets]
+    _certify_nothing(monkeypatch)
+    assert found == [first_short_class(d) for d in sets]
+    assert None in found and any(found)
+
+
+def _certificate_work(monkeypatch):
+    """Spy on the echelon certificate's work while it or its settled runs:
+    the words of each plane addition, one value per class and level, at
+    q <= 4, and the cells of each functional_values, one value per class
+    and point, at q >= 5."""
+    work, active = [], []
+    real_ops, real_values = pointset._plane_ops, pointset.functional_values
+    real_certificate = pointset._echelon_certificate
+
+    def plane_ops(gf):
+        scale, add = real_ops(gf)
+
+        def counted(xs, ys):
+            out = add(xs, ys)
+            if active:
+                work.append(out[0].size)
+            return out
+
+        return scale, counted
+
+    def values(gf, fs, pts):
+        if active:
+            work.append(len(fs) * len(pts))
+        return real_values(gf, fs, pts)
+
+    def during(run):
+        def spy(*args):
+            active.append(run)
+            try:
+                return run(*args)
+            finally:
+                active.pop()
+        return spy
+
+    def certificate(gf, k, codes):
+        return during(during(real_certificate)(gf, k, codes))
+
+    for name, spy in (("_plane_ops", plane_ops),
+                      ("functional_values", values),
+                      ("_echelon_certificate", certificate)):
+        monkeypatch.setattr(pointset, name, spy)
+    return work
+
+
+def test_echelon_certificate_charge_bounds_its_work(monkeypatch):
+    # check_budget's charge for is_cutting, c * max(n, 1), bounds the
+    # certificate's work: sets with one point at each of k - 1 levels, the
+    # fewest it reads, family sets, their tilde joins and random sets; a
+    # set with two levels empty, such as 5 unit vectors in AG(20, 2) or one
+    # point at each of k - 2 levels, is not read
+    work = _certificate_work(monkeypatch)
+    units = tuple(tuple(int(i == j) for i in range(20)) for j in range(5))
+    sets = [(point_set(field_of_order(2), 20, units), False)]
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        gf = field_of_order(q)
+        for k in (1, 2, 3, 4):
+            pts = [(1,) * (j + 1) + (0,) * (k - 1 - j) for j in range(k)]
+            for gone in itertools.chain(itertools.combinations(range(k), 1),
+                                        itertools.combinations(range(k), 2)):
+                sets.append((point_set(gf, k, tuple(
+                    x for j, x in enumerate(pts) if j not in gone)),
+                             len(gone) == 1))
+        d = family4(gf, 3, 3)
+        sets += [(d, True), (tilde_join(d, d), True)]
+        sets += [(d, True) for d in list(_certificate_sets(q))[::4]
+                 if d.dim - len({_trailing(x) for x in d.points}) < 2]
+    for d, read in sets:
+        work.clear()
+        is_cutting(d, budget=10 ** 12)
+        charge = functional_count(d.field.q, d.dim) * max(len(d), 1)
+        assert sum(work) <= charge, (d, sum(work), charge)
+        assert bool(work) == read or d.dim == 1, d
 
 
 def test_is_cutting_with_an_empty_hyperplane():

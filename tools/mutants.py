@@ -87,8 +87,8 @@ MUTANTS = (
            (PS + "test_packed_is_cutting_matches_the_table_kernel",
             PS + "test_mask_stage_matches_the_table_kernel")),
     Mutant("short-threshold-k-2", "src/mincodes/pointset.py",
-           "for f in fs[sample_ranks < k - 1]:",
-           "for f in fs[sample_ranks < k - 2]:",
+           "for f in fs[sample(fs) < k - 1]:",
+           "for f in fs[sample(fs) < k - 2]:",
            (PS + "test_is_cutting", PS + "test_is_cutting_route",
             PS + "test_is_cutting_matches_the_oracle_on_random_sets")),
     Mutant("block-first-class-returned", "src/mincodes/pointset.py",
@@ -110,7 +110,7 @@ MUTANTS = (
            "zero = ~reduce(np.bitwise_or, value)", "zero = ~value[0]",
            (PS + "test_mask_stage_matches_the_table_kernel",)),
     Mutant("block-size-ignores-the-window", "src/mincodes/pointset.py",
-           "_MASK_CELLS // (k * words)", "_MASK_CELLS // k",
+           "_MASK_CELLS // (k * _window_words(q, k))", "_MASK_CELLS // k",
            (PS + "test_is_cutting_builds_class_blocks_lazily",
             PS + "test_mask_stage_blocks_do_not_change_ranks")),
     Mutant("exact-pass-on-the-window", "src/mincodes/pointset.py",
@@ -119,9 +119,40 @@ MUTANTS = (
            (PS + "test_packed_is_cutting_exact_pass",
             PS + "test_packed_is_cutting_second_exact_stage")),
     Mutant("window-one-word-short", "src/mincodes/pointset.py",
-           "window = [x[:, :words] for x in masks]",
-           "window = [x[:, : max(1, words - 1)] for x in masks]",
+           "window = [x[:, :_window_words(gf.q, k)] for x in masks]",
+           "window = [x[:, : max(1, _window_words(gf.q, k) - 1)] "
+           "for x in masks]",
            (PS + "test_mask_stage_blocks_do_not_change_ranks",)),
+    # -- the echelon certificate of is_cutting -------------------------------
+    Mutant("certificate-counts-empty-slots", "src/mincodes/pointset.py",
+           "reduce(np.bitwise_or, [y[0] for y in child]) & on[j]\n"
+           "                != on[j]",
+           "reduce(np.bitwise_or, [y[0] for y in child])\n"
+           "                != ~np.uint64(0)",
+           (PS + "test_echelon_certificate_is_sound",)),
+    Mutant("table-certificate-counts-empty-slots", "src/mincodes/pointset.py",
+           "pts = [_digits(w[p], q, k)[:, : j + 1]",
+           "pts = [_digits(w, q, k)[:, : j + 1]",
+           (PS + "test_echelon_certificate_is_sound",)),
+    Mutant("lead-class-needs-a-zero-at-its-level", "src/mincodes/pointset.py",
+           "np.ones(int(j <= empty), dtype=np.int64)",
+           "np.ones(0, dtype=np.int64)",
+           (PS + "test_echelon_certificate_is_sound",)),
+    Mutant("empty-lower-level-ignored", "src/mincodes/pointset.py",
+           "empty = filled.argmin() if not filled.all() else k",
+           "empty = k",
+           (PS + "test_echelon_certificate_is_sound",)),
+    Mutant("two-empty-levels-read", "src/mincodes/pointset.py",
+           "if k - filled.sum() > 1:", "if k - filled.sum() > 2:",
+           (PS + "test_echelon_certificate_charge_bounds_its_work",)),
+    Mutant("children-codes-misaligned-with-values", "src/mincodes/pointset.py",
+           "np.compress(keep, fs * q + ts)",
+           "np.compress(keep, (fs[:, None] * q + ts.T).ravel())",
+           (PS + "test_echelon_certificate_is_sound",)),
+    Mutant("top-ignores-the-parent-certificate", "src/mincodes/pointset.py",
+           "out |= (parents[rows] == fs // q) & top(fs, rows)",
+           "out |= top(fs, rows)",
+           (PS + "test_echelon_certificate_is_sound",)),
     Mutant("q3-planes-without-the-residue", "src/mincodes/pointset.py",
            "digits = digits % 3", "digits = digits",
            (CODE + "test_dimension_matches_the_oracle",)),
