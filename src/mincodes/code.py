@@ -18,10 +18,9 @@ classes through it, about 1/q of all (class, point) pairs, and reads n
 minus the multiplicities each class collects.  Minimality is
 decided from the same class weights: the weight levels alone settle most
 sets, and the rest take a scan of the projective lines, of all of them or
-of those through the classes that every violating line holds, or, at
-q = 2, an XOR convolution of the weight levels.  The code dimension ranks
-a fixed sample of D first, and all of D only when the sample's rank is
-short of k.
+of those through the classes that every violating line holds.  The code
+dimension ranks a fixed sample of D first, and all of D only when the
+sample's rank is short of k.
 """
 
 from __future__ import annotations
@@ -404,12 +403,11 @@ def is_minimal_direct(
 
     The weight levels alone often settle the test (:func:`_level_filter`):
     a set where no level can top a violating line is minimal.  Otherwise
-    :func:`_minimality` takes whichever route touches the fewest cells:
-    the scan of every line (:func:`_line_scan`), the scan of the lines
-    through the classes that every violating line holds, or, at q = 2, an
-    XOR convolution of the weight levels (:func:`_xor_line_test`).  All
-    give the same verdict and witness, and the budget charge for the scan
-    of every line bounds each of them.
+    :func:`_minimality` takes whichever scan touches fewer cells: that of
+    every line (:func:`_line_scan`) or that of the lines through the
+    classes that every violating line holds.  Both give the same verdict
+    and witness, and the budget charge for the scan of every line bounds
+    each of them.
     """
     _check_scan_budget(d, budget)
     return _minimality(d.field, d.dim, class_weights(d, budget))
@@ -422,9 +420,8 @@ def _check_scan_budget(d: DefiningSet, budget: int) -> None:
     class is charged the larger of n and (c-1)/(q+1), rounded up.  That
     charge bounds every part of the line test: the level filter stops
     before its cells pass c times the larger of the heaviest weight, at
-    most n, and (c-1)/(q+1), rounded up, and the restricted scan and the
-    XOR convolution run only when they touch fewer cells than the full
-    scan."""
+    most n, and (c-1)/(q+1), rounded up, and the restricted scan runs only
+    when it touches fewer cells than the full scan."""
     q = d.field.q
     c = functional_count(q, d.dim)
     check_budget(q, d.dim, max(len(d), -(-(c - 1) // (q + 1))), budget)
@@ -435,13 +432,11 @@ def _minimality(gf: GF, k: int, wts: np.ndarray) -> MinimalityResult:
     wts (c,), in class order.
 
     A set with no feasible top (:func:`_level_filter`) is minimal.
-    Otherwise the route that touches the fewest cells runs, the full scan
-    on a tie: :func:`_line_scan` over every line, c(c-1)/(q+1) cells; the
+    Otherwise the scan that touches fewer cells runs, the full scan on a
+    tie: :func:`_line_scan` over every line, c(c-1)/(q+1) cells, or the
     same scan over the lines through the classes of a mandatory level or
-    of the feasible tops, whichever are fewest, c-1 cells per class; or,
-    at q = 2 and k <= _XOR_MAX_K, :func:`_xor_line_test` on the pairs of
-    levels that sum to a feasible top, :func:`_xor_cells`.  When the
-    filter does not run, every level counts as a feasible top and the
+    of the feasible tops, whichever are fewest, c-1 cells per class.  When
+    the filter does not run, every level counts as a feasible top and the
     restricted scan is not offered."""
     q, c = gf.q, len(wts)
     levels, counts = np.unique(wts[wts > 0], return_counts=True)
@@ -454,14 +449,7 @@ def _minimality(gf: GF, k: int, wts: np.ndarray) -> MinimalityResult:
         via = min([tops] + [[level] for level in mandatory],
                   key=lambda ls: sum(map(size.__getitem__, ls)))
         cells["through"] = sum(map(size.__getitem__, via)) * (c - 1)
-    if q == 2 and k <= _XOR_MAX_K:
-        sums = levels[:, None] + levels
-        i, j = np.nonzero(np.isin(sums, tops) & (levels[:, None] <= levels))
-        pairs = np.stack([i, j], axis=1)
-        cells["xor"] = _xor_cells(k, levels, pairs)
     route = min(cells, key=cells.__getitem__)
-    if route == "xor":
-        return _xor_line_test(k, wts, levels, pairs)
     return _line_scan(gf, k, wts, np.flatnonzero(np.isin(wts, via))
                       if route == "through" else None)
 
@@ -603,78 +591,6 @@ def _least_violation(wts: np.ndarray, q: int, idx: np.ndarray,
     heavy = np.where(wts[line] == top[hits][:, None], line, c).min(axis=1)
     rest = np.where(line != heavy[:, None], line, c).min(axis=1)
     return int((heavy * c + rest).min())
-
-
-#: the largest k at which :func:`_xor_line_test` is exact in int64: a
-#: level's transform is at most 2^k in size, a sum of products of two at
-#: most (2^k)^2, and the inverse adds 2^k of those, so at most 2^(3k)
-_XOR_MAX_K = 20
-
-
-def _xor_cells(k: int, levels: np.ndarray, pairs: np.ndarray) -> int:
-    """The cells :func:`_xor_line_test` touches at q = 2, each a row of
-    2^k: k + 1 per level it transforms (built, then k passes) and per
-    sum it transforms back (k passes, then read), one per pair (a
-    product) and one for the witness."""
-    rows = len(np.unique(pairs)) + len(np.unique(levels[pairs].sum(axis=1)))
-    return 2 ** k * ((k + 1) * rows + len(pairs) + 1)
-
-
-def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    """The unnormalized Walsh-Hadamard transform of each row of a
-    (R, 2^k) int64, in place: sum over x of (-1)^(popcount(u & x)) a[x]
-    at u.  Applied twice it multiplies by 2^k."""
-    h = a.shape[1] // 2
-    while h:
-        b = a.reshape(len(a), -1, 2, h)  # a view: the pairs (x, x ^ h)
-        low = b[:, :, 0].copy()
-        b[:, :, 0] += b[:, :, 1]
-        low -= b[:, :, 1]
-        b[:, :, 1] = low
-        h //= 2
-    return a
-
-
-def _xor_line_test(k: int, wts: np.ndarray, levels: np.ndarray,
-                   pairs: np.ndarray) -> MinimalityResult:
-    """The line test at q = 2 by XOR convolution of weight levels (Ding,
-    Heng and Zhou, "Minimal binary linear codes", 2018): the answer of
-    :func:`_line_scan`, witness included, for the positive weight levels
-    (L,), increasing, and the pairs (P, 2) of indices i <= j of levels
-    whose sum is a level (or a feasible top, which every such sum is).
-
-    A line holds f, g and f+g, and w(g) + w(f+g) >= w(f), with equality
-    exactly when supp(g) lies in supp(f).  So f contains another nonzero
-    codeword exactly when some g has w(g), w(f+g) > 0 and w(g) + w(f+g) =
-    w(f).  For levels a <= b, the number of g with w(g) = a and w(f+g) = b
-    is the XOR convolution of the indicators of the two levels at f.  The
-    convolutions of the pairs with the same sum are added in the transform
-    domain and transformed back once per sum, one sum at a time, all in
-    exact int64 (k <= _XOR_MAX_K).  The witness is the smallest such f, as
-    at q = 2 class order is code order, and then the smallest g, the
-    smaller class of the pair g, f+g, found in one pass over the 2^k
-    functionals.
-    """
-    if not len(pairs):
-        return MinimalityResult(True)
-    w = np.zeros(2 ** k, dtype=np.int64)  # the weight at each code
-    w[1:] = wts  # at q = 2 the class at position i has code i + 1
-    used, at = np.unique(pairs, return_inverse=True)
-    at = at.reshape(pairs.shape)
-    hat = _walsh_hadamard((w == levels[used][:, None]).astype(np.int64))
-    sums = levels[pairs].sum(axis=1)
-    hits = []
-    for s in np.unique(sums):
-        acc = sum(hat[i] * hat[j] for i, j in at[sums == s])
-        counts = _walsh_hadamard(acc[None])[0]  # 2^k times the g counted
-        hits.extend(np.flatnonzero((w == s) & (counts > 0))[:1].tolist())
-    if not hits:
-        return MinimalityResult(True)
-    f = min(hits)
-    g = np.arange(2 ** k)
-    inner = (w > 0) & (w[g ^ f] > 0) & (w + w[g ^ f] == w[f])
-    pair = _digits(np.array([f, np.flatnonzero(inner)[0]]), 2, k)
-    return MinimalityResult(False, tuple(map(tuple, pair.tolist())))
 
 
 @dataclass(frozen=True)

@@ -267,9 +267,9 @@ def test_criterion_9_cutting_equals_minimality(monkeypatch):
     instances = 0
     # seconds spent in each check, per q, the line test's route per q:
     # settled by the weight levels, the scan of the lines through some
-    # classes, the XOR convolution or the scan of every line, and the
-    # classes is_cutting's echelon certificate settled or sent to the
-    # sample route per q, reported on the acceptance line
+    # classes or the scan of every line, and the classes is_cutting's
+    # echelon certificate settled or sent to the sample route per q,
+    # reported on the acceptance line
     spent = {"is_cutting": Counter(), "is_cutting tilde": Counter(),
              "is_minimal_direct": Counter()}
     routes = Counter()
@@ -289,10 +289,6 @@ def test_criterion_9_cutting_equals_minimality(monkeypatch):
 
     monkeypatch.setattr(pointset, "_echelon_certificate", certificate)
 
-    def xor(*args, real=code._xor_line_test):
-        ran.append("xor")
-        return real(*args)
-
     def scan(gf, k, wts, through, real=code._line_scan):
         ran.append("scan" if through is None else "restricted")
         return real(gf, k, wts, through)
@@ -303,8 +299,7 @@ def test_criterion_9_cutting_equals_minimality(monkeypatch):
         routes[gf.q, ran[0] if ran else "settled"] += 1
         return out
 
-    for name, spy in (("_xor_line_test", xor), ("_line_scan", scan),
-                      ("_minimality", minimality)):
+    for name, spy in (("_line_scan", scan), ("_minimality", minimality)):
         monkeypatch.setattr(code, name, spy)
 
     def timed(name, q, check, *args):

@@ -617,47 +617,35 @@ def _q2_sets():
                 yield ctor(gf, k, h, relaxed=True)
 
 
-def test_xor_line_test_matches_the_scan_and_the_oracle(monkeypatch):
-    # both routes of the q = 2 line test, each forced, give the same
-    # verdict and witness, and so does the pure-Python oracle where it
-    # is quick
+def test_xor_line_test_matches_the_scan_and_the_oracle():
+    # the q = 2 line test, whichever scan it takes, gives the verdict and
+    # witness of the scan of every line, and so does the pure-Python
+    # oracle where it is quick
     kinds = set()
     for d in _q2_sets():
-        routes = []
-        for cells in (0, 2 ** 62):  # the convolution, then the scan
-            monkeypatch.setattr(code, "_xor_cells", lambda *args: cells)
-            routes.append(is_minimal_direct(d))
-        assert routes[0] == routes[1], d
+        res = is_minimal_direct(d)
+        assert res == code._line_scan(d.field, d.dim, class_weights(d)), d
         if d.dim <= 5:
             witness = brute_is_minimal(d)
-            assert (routes[0].minimal, routes[0].witness) == (
-                witness is None, witness), d
+            assert (res.minimal, res.witness) == (witness is None, witness), d
         kinds.update(kind for kind, seen in (
             ("empty", not d.points), ("dim < k", dimension(d) < d.dim),
-            ("minimal", routes[0].minimal),
-            ("not minimal", not routes[0].minimal)) if seen)
+            ("minimal", res.minimal), ("not minimal", not res.minimal))
+            if seen)
     assert kinds == {"empty", "dim < k", "minimal", "not minimal"}
 
 
-class RouteChosen(Exception):
-    pass
-
-
-def _line_routes(monkeypatch, run=True):
-    """Spies on the line tests: the route of each that runs, in order,
-    "_xor_line_test", "_line_scan", or "through" for the scan of the lines
-    through some classes.  With run=False a spy raises RouteChosen in
-    place of running."""
+def _line_routes(monkeypatch):
+    """A spy on the line scan: the route of each scan that runs, in order,
+    "_line_scan" for the scan of every line or "through" for the scan of
+    the lines through some classes."""
     ran = []
-    for name in ("_xor_line_test", "_line_scan"):
-        def spy(*args, real=getattr(code, name), name=name):
-            through = name == "_line_scan" and args[3] is not None
-            ran.append("through" if through else name)
-            if not run:
-                raise RouteChosen(ran[-1])
-            return real(*args)
 
-        monkeypatch.setattr(code, name, spy)
+    def spy(*args, real=code._line_scan):
+        ran.append("_line_scan" if args[3] is None else "through")
+        return real(*args)
+
+    monkeypatch.setattr(code, "_line_scan", spy)
     return ran
 
 
@@ -713,8 +701,7 @@ def test_level_filter_matches_the_scan_and_the_oracle(q, monkeypatch):
                 assert scan(gf, d.dim, wts, through) == res, (d, via)
         verdicts.add(res.minimal)
     assert verdicts == {True, False}
-    assert routes == {"settled", "through", "_line_scan"} | (
-        {"_xor_line_test"} if q == 2 else set())
+    assert routes == {"settled", "through", "_line_scan"}
 
 
 def test_level_filter_on_the_large_q_sets(monkeypatch):
@@ -757,11 +744,9 @@ def test_level_filter_on_the_large_q_sets(monkeypatch):
 
 def test_line_test_route(monkeypatch):
     # the weight levels settle most family sets, at q = 2 and above; the
-    # rest take the route of fewest cells: the scan through the classes
-    # of the rarest mandatory level, the scan of every line or, at q = 2,
-    # the XOR convolution; a set whose filter would pass its cap takes
-    # the cheaper of the other two; q = 2 past k = 20 never convolves,
-    # where the convolution's sums could pass 2^63
+    # rest take the scan of fewer cells: through the classes of the
+    # rarest mandatory level, or of every line; a set whose filter would
+    # pass its cap takes the scan of every line
     ran = _line_routes(monkeypatch)
     gf2, gf3 = field_of_order(2), field_of_order(3)
     # the same set inside the hyperplane x_11 = 0 of AG(11,2): its zero
@@ -774,14 +759,15 @@ def test_line_test_route(monkeypatch):
                      (family4(gf2, 10, 2, relaxed=True), ["through"]),
                      (family4(field_of_order(49), 3, 3), ["through"]),
                      (_many_levels(8, 3), ["through"]),
-                     (_many_levels(11, 5), ["_xor_line_test"]),
+                     (_many_levels(11, 5), ["_line_scan"]),
                      (_many_levels(9, 4), ["_line_scan"]),
                      (_many_levels(4, 1, q=3), ["_line_scan"])):
         ran.clear()
         is_minimal_direct(d)
         assert ran == route, d
     # sixteen levels, nine of them feasible tops and none mandatory: the
-    # classes of the tops are too many for the restricted scan
+    # classes of the tops are too many for the restricted scan, and the
+    # scan of every line runs
     tops, mandatory = _filter(_many_levels(9, 4))
     assert len(tops) >= 9 and mandatory == []
     assert _filter(family1(gf2, 10, 4)) == ([], [])
@@ -792,25 +778,16 @@ def test_line_test_route(monkeypatch):
     ran.clear()
     code._minimality(gf3, 4, wts)
     assert ran == ["_line_scan"]
-    ran = _line_routes(monkeypatch, run=False)
-    for k, route in ((20, "_xor_line_test"), (21, "_line_scan")):
-        # two levels, one the sum of the other with itself
-        wts = np.arange(1, 2 ** k) % 2 + 1
-        with pytest.raises(RouteChosen, match=route):
-            code._minimality(gf2, k, wts)
 
 
 def test_line_test_charge_bounds_its_work(monkeypatch):
     # the cost _check_scan_budget charges is at least the cells of each
     # part of the line test that runs: the level filter's DPs, counted
-    # from the calls of _reaches, and the route's, counted from the calls
-    # of _translates and _joins for the scans, of every line or of those
-    # through some classes, or from those of _walsh_hadamard, and bounded
-    # by _xor_cells, for the XOR convolution
-    ran = _line_routes(monkeypatch)
-    dp, cells, modeled, through = [], [], [], []
-    real_translates, real_walsh = code._translates, code._walsh_hadamard
-    real_cells, real_joins = code._xor_cells, code._joins
+    # from the calls of _reaches, and the scan's, of every line or of
+    # those through some classes, counted from the calls of _translates
+    # and _joins
+    dp, cells, through = [], [], []
+    real_translates, real_joins = code._translates, code._joins
     real_reaches, real_scan = code._reaches, code._line_scan
 
     def reaches(t, steps, layers):
@@ -827,33 +804,24 @@ def test_line_test_charge_bounds_its_work(monkeypatch):
         cells.append(len(vs) * functional_count(gf.q, m) * gf.q)
         return real_joins(gf, vs, m)
 
-    def walsh(a):  # k passes over every cell
-        cells.append(a.size * (a.shape[1].bit_length() - 1))
-        return real_walsh(a)
-
-    def xor_cells(*args):
-        modeled.append(real_cells(*args))
-        return modeled[-1]
-
     def scan(gf, k, wts, via):
         through.extend([] if via is None else via.tolist())
         return real_scan(gf, k, wts, via)
 
     for name, spy in (("_reaches", reaches), ("_translates", translates),
-                      ("_joins", joins), ("_walsh_hadamard", walsh),
-                      ("_xor_cells", xor_cells), ("_line_scan", scan)):
+                      ("_joins", joins), ("_line_scan", scan)):
         monkeypatch.setattr(code, name, spy)
     ran = _line_routes(monkeypatch)
     gf2 = field_of_order(2)
     for d, route in ((family4(gf2, 10, 2, relaxed=True), "through"),
-                     (_many_levels(11, 5), "_xor_line_test"),
-                     (_many_levels(12, 2), "_xor_line_test"),
+                     (_many_levels(11, 5), "_line_scan"),
+                     (_many_levels(12, 2), "_line_scan"),
                      (_many_levels(8, 3), "through"),
                      (_many_levels(9, 4), "_line_scan"),
                      (family4(field_of_order(3), 5, 3), "settled"),
                      (family4(field_of_order(4), 4, 3), "through"),
                      (_many_levels(4, 1, q=3), "_line_scan")):
-        for seen in (ran, dp, cells, modeled, through):
+        for seen in (ran, dp, cells, through):
             seen.clear()
         with pytest.raises(BudgetExceeded) as exc:
             code._check_scan_budget(d, 0)
@@ -864,8 +832,6 @@ def test_line_test_charge_bounds_its_work(monkeypatch):
         c = functional_count(d.field.q, d.dim)
         if route == "settled":
             assert dp and not cells, d
-        elif route == "_xor_line_test":
-            assert sum(cells) <= modeled[0] <= charge, d
         elif route == "through":  # c - 1 cells per class
             assert dp and through, d
             assert sum(cells) == len(through) * (c - 1) <= charge, d
