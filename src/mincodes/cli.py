@@ -262,9 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: the tree depends on constants alone and parsing
+# leaves it unchanged, so a process that calls main many times (perfbench's
+# large_q runs twelve calls a pass) parses each time instead of paying
+# about 0.5 ms to rebuild it.  It holds no answer and no per-call state.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.budget is None:  # read after parsing, so --help always works
             args.budget = default_budget()
         return args.func(args)

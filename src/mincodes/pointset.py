@@ -86,7 +86,10 @@ class DefiningSet:
         # code 0 is the origin, which defining sets exclude
         if codes.ndim != 1 or ((codes < 1) | (codes >= q ** k)).any():
             raise ParameterError(f"codes must be a flat list in [1, {q}^{k})")
-        if not np.diff(np.sort(codes)).all():  # np.unique imports numpy.ma
+        # strictly increasing codes, as the families emit them, hold no
+        # duplicate; others are sorted (np.unique imports numpy.ma)
+        ordered = (codes[1:] > codes[:-1]).all()
+        if not ordered and not np.diff(np.sort(codes)).all():
             raise ParameterError("duplicate points in defining set")
         codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
@@ -319,7 +322,9 @@ def functional_values(gf: GF, fs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     as a (b, n) array of element indices."""
     fs = _digits(fs, gf.q, pts.shape[1])
     if gf.m == 1:
-        return (fs @ pts.T) % gf.p
+        vals = fs @ pts.T
+        vals %= gf.p  # in place: a fresh (b, n) array costs more than the %
+        return vals
     # in place: a block can hold _CHUNK x n values
     add = gf.add_table.ravel()
     vals = np.zeros((fs.shape[0], pts.shape[0]), dtype=np.int64)

@@ -276,3 +276,40 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.splitlines()[:2] == ["weight,count", "0,1"]
     assert "match,true" in proc.stdout
+
+
+def test_parser_reuse_leaks_nothing_between_calls(tmp_path, monkeypatch,
+                                                  capsys):
+    # main parses with one parser per process: each call of this sequence
+    # prints and exits as the same command does in a fresh process, so no
+    # flag, budget or refusal carries over to the next call
+    params = ["--family", "4", "--q", "3", "--k", "3", "--h", "3"]
+    low = ["minimal", "--family", "4", "--q", "3", "--k", "2", "--h", "2"]
+    steps = [(["weights", *params, "--tilde"], None),
+             (["weights", *params], None),
+             ([*low, "--relaxed"], None),
+             (low, None),  # h below the family's minimum: exit 2
+             (["weights", *params, "--budget", "1"], None),  # exit 3
+             (["weights", *params], "10"),  # exit 3
+             (["weights", *params], None),
+             (["--help"], None)]
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at the same width
+    monkeypatch.setenv("PYTHONPATH",
+                       str(Path(cli.__file__).resolve().parent.parent))
+    codes = []
+    for argv, env in steps:
+        if env is None:
+            monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+        else:
+            monkeypatch.setenv(cli.BUDGET_ENV, env)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "mincodes", *argv],
+                               capture_output=True, text=True, cwd=tmp_path)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                    fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 2, 3, 3, 0, 0]

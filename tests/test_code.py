@@ -617,7 +617,7 @@ def _q2_sets():
                 yield ctor(gf, k, h, relaxed=True)
 
 
-def test_xor_line_test_matches_the_scan_and_the_oracle():
+def test_q2_line_test_matches_the_scan_and_the_oracle():
     # the q = 2 line test, whichever scan it takes, gives the verdict and
     # witness of the scan of every line, and so does the pure-Python
     # oracle where it is quick

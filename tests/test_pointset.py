@@ -201,6 +201,31 @@ def test_defining_set_invariants():
         with pytest.raises(ParameterError):
             DefiningSet(field=gf3, dim=3, codes=codes)
     assert len(DefiningSet(field=gf3, dim=3, codes=[])) == 0
+    # a duplicate is found whether the codes are in order or not, and
+    # distinct codes pass in any order
+    for codes in ([1, 2, 2, 5], [5, 2, 7, 2], [3, 3]):
+        with pytest.raises(ParameterError, match="duplicate points"):
+            DefiningSet(field=gf3, dim=2, codes=codes)
+    for codes in ([1, 2, 5], [5, 2, 7], [4]):
+        assert len(DefiningSet(field=gf3, dim=2, codes=codes)) == len(codes)
+
+
+@pytest.mark.parametrize("q, k", [(2, 62), (3, 39), (5, 26), (7, 22),
+                                  (251, 1), (251, 7)])
+def test_prime_field_values_match_python_sums(q, k):
+    # at the widest k of each prime q (q^k <= 2^62) and with every digit
+    # q - 1 the sums sum(f_i x_i) are at their largest before the reduction
+    gf = field_of_order(q)
+    rng = random.Random(q * 100 + k)
+    top = [q - 1] * k
+    forms = [top] + [[rng.randrange(q) for _ in range(k)] for _ in range(5)]
+    xs = [top] + [[rng.randrange(q) for _ in range(k)] for _ in range(7)]
+    fs = np.array([sum(c * q ** (k - 1 - i) for i, c in enumerate(f))
+                   for f in forms], dtype=np.int64)
+    got = pointset.functional_values(gf, fs, np.array(xs, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [[sum(a * b for a, b in zip(f, x)) % q
+                             for x in xs] for f in forms]
 
 
 def test_defining_sets_compare_by_value():

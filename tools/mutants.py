@@ -154,6 +154,17 @@ MUTANTS = (
            "        if rank == k:\n            return rank\n",
            "        return rank\n",
            (CODE + "test_dimension_falls_back_when_the_sample_falls_short",)),
+    # -- defining sets and prime-field values -------------------------------
+    Mutant("duplicates-in-order-accepted", "src/mincodes/pointset.py",
+           "ordered = (codes[1:] > codes[:-1])",
+           "ordered = (codes[1:] >= codes[:-1])",
+           (PS + "test_defining_set_invariants",)),
+    Mutant("prime-values-in-int16", "src/mincodes/pointset.py",
+           "vals = fs @ pts.T", "vals = (fs @ pts.T).astype(np.int16)",
+           (PS + "test_prime_field_values_match_python_sums",)),
+    Mutant("prime-values-unreduced", "src/mincodes/pointset.py",
+           "        vals %= gf.p", "        vals %= 2 * gf.p",
+           (PS + "test_prime_field_values_match_python_sums",)),
     # -- the level filter and the scan through some classes -------------------
     Mutant("filter-drops-a-level", "src/mincodes/code.py",
            "lv = levels.tolist()", "lv = levels.tolist()[1:]",
@@ -219,6 +230,15 @@ MUTANTS = (
            "    mult = np.ones(len(codes), dtype=np.int64)",
            (CODE + "test_weights_with_mixed_multiplicities",
             CODE + "test_class_weights_picks_the_cheaper_route")),
+    # -- the command line -----------------------------------------------------
+    Mutant("explicit-budget-ignored", "src/mincodes/cli.py",
+           "if args.budget is None:", "if True:",
+           (CLI + "test_budget_exceeded_exit_code",)),
+    Mutant("budget-env-read-when-the-parser-is-built", "src/mincodes/cli.py",
+           'sub.add_argument("--budget", type=int, default=None,',
+           'sub.add_argument("--budget", type=int, default=default_budget(),',
+           (CLI + "test_parser_reuse_leaks_nothing_between_calls",
+            CLI + "test_budget_env")),
     # -- field orders ---------------------------------------------------------
     Mutant("cap-checked-after-factoring", "src/mincodes/field.py",
            "    if q > MAX_ORDER:\n"
