@@ -118,25 +118,34 @@ def part_type(parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(seen[v] for v in sorted(seen, reverse=True))
 
 
-def _partitions_desc(s: int, max_part: int) -> Iterator[tuple[int, ...]]:
+def _partitions_desc(s: int, max_part: int,
+                     max_len: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of s into at most max_len parts of at most max_part,
+    parts descending, in descending-lexicographic order.  A first part
+    with first * max_len < s leaves too much for the other parts, and so
+    does every smaller one, so the loop stops there."""
     if s == 0:
         yield ()
         return
     for first in range(min(s, max_part), 0, -1):
-        for rest in _partitions_desc(s - first, first):
+        if first * max_len < s:
+            break
+        for rest in _partitions_desc(s - first, first, max_len - 1):
             yield (first,) + rest
 
 
+@functools.lru_cache(maxsize=256)
 def enumerate_part_multisets(
     s: int, max_len: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """All multisets {r_1,...,r_l} of positive parts with sum s and
     l <= max_len, as (parts sorted descending, type multiplicities),
-    in deterministic descending-lexicographic order."""
+    in deterministic descending-lexicographic order.
+
+    Memoized, as :func:`psi` and :func:`phi` are, for the last 256
+    distinct (s, max_len): a repeated call returns the same tuple of
+    tuples, which no caller can change."""
     if s < 1:
         raise CountError("s must be >= 1")
-    return [
-        (parts, part_type(parts))
-        for parts in _partitions_desc(s, s)
-        if len(parts) <= max_len
-    ]
+    return tuple((parts, part_type(parts))
+                 for parts in _partitions_desc(s, s, max_len))

@@ -192,6 +192,7 @@ def _root(q: int, m: int) -> int:
     return x if x ** m == q else 0
 
 
+@functools.lru_cache(maxsize=1024)
 def factor_prime_power(q: int) -> tuple[int, int]:
     """(p, m) with q = p^m and p prime; FieldError for any other q.
 
@@ -200,6 +201,10 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     costs O(log q) modular powers.  Primality is decided below about
     3.3 * 10^24; a q whose root p is past that and passes every base is
     refused with FieldError.
+
+    Memoized for the last 1024 distinct q, since every field build and
+    every closed-form term factors its q again; a FieldError is raised
+    afresh on each call, never cached.
     """
     for m in range(max(q, 1).bit_length() - 1, 0, -1):
         p = _root(q, m)
@@ -209,9 +214,10 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 def field_of_order(q: int) -> GF:
-    """Build GF(q) for a prime power q, factoring q automatically (the
-    same object on every call, from :func:`make_field`'s cache).  An
-    order above MAX_ORDER is refused before it is factored."""
+    """Build GF(q) for a prime power q, factoring q automatically.  Both
+    steps are memoized: :func:`factor_prime_power` by q and
+    :func:`make_field` by (p, m), so every call returns the same object.
+    An order above MAX_ORDER is refused before it is factored."""
     if q > MAX_ORDER:
         raise FieldError(f"field order {q} exceeds cap {MAX_ORDER}")
     return make_field(*factor_prime_power(q))

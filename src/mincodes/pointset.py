@@ -16,10 +16,9 @@ short.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -161,6 +160,25 @@ def _check_range(family: int, h: int, k: int, relaxed: bool) -> None:
         )
 
 
+#: head grids of at most this many bytes are kept, one per (q, h): each
+#: build is a few numpy calls (about 18 us), and 64 such grids hold 4 MiB
+_HEAD_KEEP_BYTES = 1 << 16
+
+
+def _heads(q: int, h: int) -> np.ndarray:
+    """The digits (h, q^h) of all heads, x_1 first, in code order: uint8
+    (q <= 256), so h bytes per head."""
+    return np.indices((q,) * h, dtype=np.uint8).reshape(h, -1)
+
+
+@lru_cache(maxsize=64)
+def _kept_heads(q: int, h: int) -> np.ndarray:
+    """:func:`_heads`, read-only and built once per (q, h)."""
+    heads = _heads(q, h)
+    heads.flags.writeable = False
+    return heads
+
+
 def _enumerate(gf: GF, k: int, h: int,
                head_in: Callable[[np.ndarray], np.ndarray],
                tag: str) -> DefiningSet:
@@ -171,8 +189,8 @@ def _enumerate(gf: GF, k: int, h: int,
     if q ** k > DEFAULT_POINT_CAP:
         raise BudgetExceeded(f"AG({k},{q}) has {q ** k} points, above the "
                              f"cap {DEFAULT_POINT_CAP}", required=q ** k)
-    # uint8 digits (q <= 256): the grid is h bytes per head
-    heads = np.indices((q,) * h, dtype=np.uint8).reshape(h, -1)
+    heads = (_kept_heads(q, h) if h * q ** h <= _HEAD_KEEP_BYTES
+             else _heads(q, h))
     tails = q ** (k - h)
     codes = (np.flatnonzero(head_in(heads))[:, None] * tails
              + np.arange(tails)).ravel()
@@ -185,10 +203,17 @@ def _has_zero(heads: np.ndarray) -> np.ndarray:
 
 
 def _has_opposite_pair(gf: GF, heads: np.ndarray) -> np.ndarray:
-    """Mask of the heads (h, q^h) with x_i + x_j = 0, i < j, pair by pair."""
+    """Mask of the heads (h, q^h) with x_i + x_j = 0 for some i < j.
+
+    x_i + x_j = 0 exactly when x_i = -x_j, so the heads are negated once
+    and each coordinate j is compared with all earlier ones: h - 1 numpy
+    compares of uint8 digits in O(h q^h) bytes, not h(h - 1)/2 pairwise
+    sums from add_table.  (A table of which values occur in each
+    head would take q^(h+1) bytes, about 2 GB at q = 211, h = 3.)"""
     out = np.zeros(heads.shape[1], dtype=bool)
-    for xi, xj in itertools.combinations(heads, 2):
-        out |= gf.add_table[xi, xj] == 0
+    neg = gf.neg_table.astype(heads.dtype).take(heads)
+    for j in range(1, len(heads)):
+        out |= (heads[:j] == neg[j]).any(axis=0)
     return out
 
 
@@ -413,10 +438,12 @@ def _gf3_add(xs: list[np.ndarray], ys: list[np.ndarray]) -> list[np.ndarray]:
     return [(x2 | y2) ^ t, (x1 | y1) ^ t]
 
 
+@lru_cache(maxsize=16)
 def _plane_ops(gf: GF) -> tuple[Callable, Callable]:
     """scale(s, xs) and add(xs, ys) over GF(q), q <= 4, on elements held as
     the :func:`_bit_planes` xs and ys of uint64 words, for element indices
-    s that broadcast against a plane's trailing axes.
+    s that broadcast against a plane's trailing axes.  Built once per
+    field, which is immutable, since each build loops over its mul table.
 
     Scaling by s sends the bits of plane p to plane b when s times the
     element 1 << p has plane b's bit (at q = 2 and 4, where the planes are

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mincodes import combinat
 from mincodes.combinat import (
     CountError,
     count_A,
@@ -182,6 +183,8 @@ def test_multinomial():
 def test_enumerate_part_multisets():
     assert [p for p, _ in enumerate_part_multisets(2, 99)] == \
         [(2,), (1, 1)]
+    assert [p for p, _ in enumerate_part_multisets(2, 2)] == \
+        [(2,), (1, 1)]
     assert len(enumerate_part_multisets(4, 99)) == 5
     assert [p for p, _ in enumerate_part_multisets(4, 2)] == \
         [(4,), (3, 1), (2, 2)]
@@ -190,6 +193,57 @@ def test_enumerate_part_multisets():
     assert types[(3, 1)] == (1, 1)
     assert types[(2, 2)] == (2,)
     assert types[(1, 1, 1, 1)] == (4,)
+
+
+def _partitions(s, max_part):
+    """Every partition of s into parts of at most max_part, descending."""
+    if s == 0:
+        yield ()
+    for first in range(min(s, max_part), 0, -1):
+        for rest in _partitions(s - first, first):
+            yield (first,) + rest
+
+
+def test_enumerate_part_multisets_matches_enumerate_and_filter():
+    for s in range(1, 25):
+        every = list(_partitions(s, s))
+        for max_len in range(s + 2):
+            assert enumerate_part_multisets(s, max_len) == tuple(
+                (parts, tuple(parts.count(v)
+                              for v in sorted(set(parts), reverse=True)))
+                for parts in every if len(parts) <= max_len), (s, max_len)
+
+
+def test_enumerate_part_multisets_builds_no_longer_partition(monkeypatch):
+    # every call of the recursion yields some partition, none with more
+    # parts than it may still take, so no longer prefix is ever built
+    calls = []
+    real = combinat._partitions_desc
+
+    def spy(s, max_part, max_len):
+        out = list(real(s, max_part, max_len))
+        calls.append((s, max_len, out))
+        return iter(out)
+
+    monkeypatch.setattr(combinat, "_partitions_desc", spy)
+    fresh = enumerate_part_multisets.__wrapped__  # past the memo
+    for s in range(1, 13):
+        for max_len in range(s + 2):
+            calls.clear()
+            fresh(s, max_len)
+            for at, most, out in calls:
+                assert out or (at, most) == (s, 0), (s, max_len)
+                assert all(len(p) <= most for p in out), (s, max_len)
+    calls.clear()
+    assert [p for p, _ in fresh(50, 1)] == [(50,)]
+    assert [(at, most) for at, most, _ in calls] == [(0, 0), (50, 1)]
+
+
+def test_enumerate_part_multisets_is_memoized():
+    first = enumerate_part_multisets(6, 3)
+    assert enumerate_part_multisets(6, 3) is first
+    assert isinstance(first, tuple)
+    assert all(isinstance(x, tuple) for x in first)
 
 
 @settings(max_examples=200)

@@ -155,6 +155,18 @@ def test_factor_prime_power():
         assert found == _trial_division(q), q
 
 
+def test_factor_prime_power_refuses_on_every_call():
+    # the memo keeps answers only: a refusal is decided again each time
+    for q in (6, 1, 0, -4, 561, 10007 * 10009):
+        for _ in range(3):
+            with pytest.raises(FieldError, match="is not a prime power"):
+                factor_prime_power(q)
+    for _ in range(3):
+        with pytest.raises(FieldError, match="is past"):
+            factor_prime_power(field._MR_LIMIT)
+    assert factor_prime_power(9) == factor_prime_power(9) == (3, 2)
+
+
 def test_factor_prime_power_refuses_past_the_proved_bound():
     # the 13 bases decide primality below 3.3 * 10^24; a prime root past
     # that is refused at once, and so is the bound itself, the least

@@ -63,6 +63,36 @@ def test_family2_sizes():
     assert sorted(d.points) == [(1, 1), (2, 2), (3, 3)]
 
 
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13, 16))
+def test_has_opposite_pair_matches_the_pairwise_definition(q):
+    gf = field_of_order(q)
+    for h in range(1, 6):
+        if q ** h > 10 ** 5:
+            break
+        heads = np.indices((q,) * h, dtype=np.uint8).reshape(h, -1)
+        want = np.zeros(q ** h, dtype=bool)
+        for i, j in itertools.combinations(range(h), 2):
+            want |= gf.add_table[heads[i], heads[j]] == 0
+        assert (pointset._has_opposite_pair(gf, heads) == want).all(), h
+        if q % 2 == 0:  # in characteristic 2, x_i + x_j = 0 is x_i = x_j
+            assert (want == [len(set(x)) < h for x in heads.T.tolist()]).all()
+
+
+def test_head_grids_are_kept_read_only_up_to_the_bound():
+    for q, h in ((2, 1), (3, 4), (16, 3)):
+        kept = pointset._kept_heads(q, h)
+        assert pointset._kept_heads(q, h) is kept  # built once per (q, h)
+        assert not kept.flags.writeable
+        assert kept.tolist() == \
+            np.indices((q,) * h).reshape(h, -1).tolist()
+    # a grid past the bound (15 * 2^15 bytes) is built for its call only
+    pointset._kept_heads.cache_clear()
+    assert len(family4(make_field(2), 15, 15)) == 2 ** 15 - 2  # not 1...1
+    assert pointset._kept_heads.cache_info().currsize == 0
+    family4(make_field(2), 15, 10)
+    assert pointset._kept_heads.cache_info().currsize == 1
+
+
 def test_family3_sizes_and_superset():
     gf7 = make_field(7)
     d3 = family3(gf7, 3, 3)
@@ -399,6 +429,7 @@ def test_plane_ops_match_the_field_tables(q):
                 for i in range(q * q)]
 
     scale, add = pointset._plane_ops(gf)
+    assert pointset._plane_ops(gf) == (scale, add)  # built once per field
     assert unpacked(packed(a)) == a.tolist()
     assert unpacked(add(packed(a), packed(b))) == gf.add_table[a, b].tolist()
     for s in range(q):

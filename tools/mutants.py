@@ -37,6 +37,7 @@ PS = "tests/test_pointset.py::"
 CODE = "tests/test_code.py::"
 FIELD = "tests/test_field.py::"
 CLI = "tests/test_cli.py::"
+COMB = "tests/test_combinat.py::"
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,43 @@ MUTANTS = (
     Mutant("prime-values-unreduced", "src/mincodes/pointset.py",
            "        vals %= gf.p", "        vals %= 2 * gf.p",
            (PS + "test_prime_field_values_match_python_sums",)),
+    Mutant("opposite-pair-skips-the-first-coordinate",
+           "src/mincodes/pointset.py",
+           "out |= (heads[:j] == neg[j]).any(axis=0)",
+           "out |= (heads[1:j] == neg[j]).any(axis=0)",
+           (PS + "test_has_opposite_pair_matches_the_pairwise_definition",)),
+    Mutant("head-grid-kept-writable", "src/mincodes/pointset.py",
+           "heads.flags.writeable = False", "pass",
+           (PS + "test_head_grids_are_kept_read_only_up_to_the_bound",)),
+    Mutant("head-grid-kept-past-the-bound", "src/mincodes/pointset.py",
+           "if h * q ** h <= _HEAD_KEEP_BYTES", "if True",
+           (PS + "test_head_grids_are_kept_read_only_up_to_the_bound",)),
+    # -- counters of the closed forms ----------------------------------------
+    Mutant("partition-bound-inclusive", "src/mincodes/combinat.py",
+           "if first * max_len < s:", "if first * max_len <= s:",
+           (COMB + "test_enumerate_part_multisets",)),
+    Mutant("partition-bound-dropped", "src/mincodes/combinat.py",
+           "if first * max_len < s:", "if False:",
+           (COMB + "test_enumerate_part_multisets",
+            COMB + "test_enumerate_part_multisets_builds_no_longer_partition")),
+    Mutant("partition-length-not-decremented", "src/mincodes/combinat.py",
+           "first, max_len - 1)", "first, max_len)",
+           (COMB + "test_enumerate_part_multisets",
+            COMB + "test_enumerate_part_multisets_matches_enumerate_and_filter")),
+    Mutant("part-multisets-memo-mutable", "src/mincodes/combinat.py",
+           "return tuple((parts, part_type(parts))",
+           "return list((parts, part_type(parts))",
+           (COMB + "test_enumerate_part_multisets_is_memoized",)),
+    Mutant("psi-sign-of-the-odd-term", "src/mincodes/combinat.py",
+           "(-1) ** s * (q - 1), q)", "(-1) ** (s + 1) * (q - 1), q)",
+           (COMB + "test_psi_phi_against_brute_force",)),
+    Mutant("block-recursion-sign", "src/mincodes/combinat.py",
+           "(-1) ** last * _A(head, q)", "_A(head, q)",
+           (COMB + "test_count_A_examples",
+            COMB + "test_closed_form_equals_recursion_everywhere")),
+    Mutant("gamma-cap-one-sign-per-pair", "src/mincodes/combinat.py",
+           "math.comb(m, s) * 2 ** s *", "math.comb(m, s) *",
+           (COMB + "test_gamma_cap_against_brute_force",)),
     # -- the level filter and the scan through some classes -------------------
     Mutant("filter-drops-a-level", "src/mincodes/code.py",
            "lv = levels.tolist()", "lv = levels.tolist()[1:]",
