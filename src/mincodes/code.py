@@ -6,10 +6,8 @@ the weight of one functional per projective class and multiplies counts
 by q-1.  Whether f.x = 0 depends only on the projective point of x too,
 so D is reduced to its distinct projective points, each with its
 multiplicity (q-1 for every point of a family set, which is a cone).
-The oracle takes one of three exact routes, whichever a cost model
-fitted to timings of all three says is fastest.  The enumeration
-evaluates each class on every distinct projective point and adds the
-multiplicities of those off its hyperplane.  The transform reads n minus
+The oracle takes one of two exact routes, whichever a cost model
+fitted to timings of both says is faster.  The transform reads n minus
 the points on each hyperplane from one count over all functionals (k
 steps, each q^2 adds of contiguous int32 blocks); it needs no reduction,
 and when it wins at the fewest projective points D can have, D is not
@@ -252,33 +250,29 @@ def _levels(mult: np.ndarray) -> Iterator[tuple[int, int, int]]:
 
 
 def _cheapest_route(gf: GF, k: int, r: int) -> str:
-    """The route of :func:`class_weights` predicted to be fastest for r
+    """The route of :func:`class_weights` predicted to be faster for r
     distinct projective points in AG(k,q): "transform"
-    (:func:`_hyperplane_counts`), "incidence" (:func:`_incidence_counts`)
-    or "enumeration" (every class on every point).
+    (:func:`_hyperplane_counts`) or "incidence" (:func:`_incidence_counts`).
 
     The costs are in nanoseconds.  A step of the transform adds q^(k+2)
     cells, about 0.5 ns each, in q^2 block adds of about 3000 ns each, and
-    does not depend on r.  The enumeration costs 14 per value over a prime
-    field, 39 over a prime power (k table lookups), and 500 per class.
-    The incidence count lists at most r(c-1)/q incidences, at 12 ns each
-    over a prime field and 24 over a prime power, plus 19000 k^2 for its at
-    most k(k-1)/2 groups of points with one lead s and one first nonzero
-    j after it.  The constants are a
-    least-squares fit, in relative error, to the times of the three routes
-    on 1,171 sets (2-vCPU VM, Python 3.11, numpy 2.4): every distinct row
-    of ``verify-all --qs 2,3,4,5,7,8,9 --max-points 400000``, which holds
+    does not depend on r.  The incidence count lists at most r(c-1)/q
+    incidences, at 12 ns each over a prime field and 24 over a prime
+    power, plus 19000 k^2 for its at most k(k-1)/2 groups of points with
+    one lead s and one first nonzero j after it.  The constants are a
+    least-squares fit, in relative error, to the times of these two routes
+    and of a per-class enumeration on 1,171 sets (2-vCPU VM, Python 3.11,
+    numpy 2.4): every distinct row of
+    ``verify-all --qs 2,3,4,5,7,8,9 --max-points 400000``, which holds
     perfbench's verify_sweep and acceptance criterion 9, perfbench's
     large_q sets, and 239 seeded random sets with q from 2 to 53 and q^k
-    up to 3*10^5.  Refitting the transform and enumeration constants saved
-    no time, so they are those of the earlier two-route fit.  Against
-    always taking the fastest route, it loses 2.8 ms over all 1,171.
+    up to 3*10^5.  Against always taking the faster route, it loses
+    1.3-1.6 ms of 32 s over the 932 distinct rows and large_q sets.
     """
     q, c = gf.q, functional_count(gf.q, k)
     prime = gf.m == 1
     costs = {
         "transform": k * (q ** (k + 2) // 2 + 3000 * q * q),
-        "enumeration": c * ((14 if prime else 39) * r + 500),
         "incidence": (12 if prime else 24) * r * (c - 1) // q
         + 19000 * k * k,
     }
@@ -290,15 +284,15 @@ def class_weights(d: DefiningSet, budget: int = DEFAULT_BUDGET
     """The codeword weight (c,) of each projective class, in class order:
     the one pass over the classes, refused when over budget.
 
-    The route is the one :func:`_cheapest_route` predicts to be fastest.
+    The route is the one :func:`_cheapest_route` predicts to be faster.
     D has r >= n/(q-1) distinct projective points, n = len(D), and only the
     transform's cost does not grow with r, so when the transform wins at
     that bound it wins at r: it then counts D's own points, each once, and
     D is never reduced.  Otherwise D is reduced to its projective points,
     with their multiplicities, and the route is chosen again at r.  The
-    budget charges classes times n, which bounds the r values per class
-    the enumeration computes and the at most r(c-1)/q the incidence count
-    does; the transform runs only where it is predicted to be faster.
+    budget charges classes times n, which bounds the at most r(c-1)/q
+    incidences the incidence count lists; the transform runs only where it
+    is predicted to be faster.
     """
     gf, k, n = d.field, d.dim, len(d)
     check_budget(gf.q, k, n, budget)
@@ -311,18 +305,7 @@ def class_weights(d: DefiningSet, budget: int = DEFAULT_BUDGET
         classes = _class_codes(gf.q, k, np.arange(functional_count(gf.q, k)))
         return n - _hyperplane_counts(gf, k, codes, mult)[classes].astype(
             np.int64)
-    if route == "incidence":
-        return n - _incidence_counts(gf, k, codes, mult)
-    pts = _digits(codes, gf.q, k)
-    weights = []
-    for fs in _class_blocks(gf.q, k):
-        vals = functional_values(gf, fs, pts)
-        w = np.zeros(len(vals), dtype=np.int64)
-        for level, lo, hi in _levels(mult):
-            w += level * np.count_nonzero(vals[:, lo:hi], axis=1)
-        weights.append(w)
-        del vals  # freed before the next block is computed
-    return np.concatenate(weights)
+    return n - _incidence_counts(gf, k, codes, mult)
 
 
 def _distribution(q: int, wts: np.ndarray) -> WeightDistribution:

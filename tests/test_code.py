@@ -244,12 +244,12 @@ def test_budget_exceeded_reports_cost():
         weight_distribution_bruteforce(d, budget=-1)
 
 
-ROUTES = ("transform", "incidence", "enumeration")
+ROUTES = ("transform", "incidence")
 
 
 def test_class_values_chunk_invariance(monkeypatch):
-    # the enumeration evaluates the classes, and the incidence count the
-    # tails after a point's first nonzero, in blocks of _CHUNK
+    # the incidence count evaluates the tails after a point's first
+    # nonzero in blocks of _CHUNK; the transform takes no blocks
     d = family4(make_field(2, 2), 3, 3)
 
     def weights(route, chunk):
@@ -443,19 +443,19 @@ def test_class_weights_picks_the_cheaper_route(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(code, "_hyperplane_counts", stop("transform"))
         patch.setattr(code, "_incidence_counts", stop("incidence"))
-        patch.setattr(code, "functional_values", stop("enumeration"))
-        # few classes and many points: on the large_q sets the pass is 1.4
-        # to 10 times faster with the incidence count than with the faster
-        # of the enumeration and the transform
+        # few classes and many points: the large_q sets
         for f, q, k, h in LARGE_Q:
             with pytest.raises(Chosen, match="incidence"):
                 class_weights(FAMILIES[f](field_of_order(q), k, h))
         # many classes at q = 2: the transform
         with pytest.raises(Chosen, match="transform"):
             class_weights(family4(field_of_order(2), 10, 3))
-        # few classes and few points: a verify_sweep row
-        with pytest.raises(Chosen, match="enumeration"):
+        # verify_sweep rows: few classes at q = 2 take the transform, and
+        # at q = 5, k = 3 the incidence count on 15 projective points
+        with pytest.raises(Chosen, match="transform"):
             class_weights(family4(field_of_order(2), 4, 3))
+        with pytest.raises(Chosen, match="incidence"):
+            class_weights(family4(field_of_order(5), 3, 3))
 
     # the route is first chosen at n/(q-1) points, the fewest projective
     # points D can have: F4 at q = 49 is routed on its 147 projective
@@ -507,10 +507,9 @@ def test_class_weights_picks_the_cheaper_route(monkeypatch):
     assert codes is d.codes and mult.tolist() == [1] * len(d)
     monkeypatch.undo()
 
-    # each value route evaluates on the distinct projective points only,
-    # the enumeration every class on all of them, the incidence count
-    # each point once for each lead s; the budget's classes * n bounds the
-    # cells of both: at most r values per class, and r(c-1)/q in all
+    # the incidence count evaluates on the distinct projective points
+    # only, each point once for each lead s; the budget's classes * n
+    # bounds its cells, r(c-1)/q in all
     cells = []
     real = code.functional_values
 
@@ -519,26 +518,16 @@ def test_class_weights_picks_the_cheaper_route(monkeypatch):
         return real(gf, fs, pts)
 
     monkeypatch.setattr(code, "functional_values", spy)
-    d = family4(field_of_order(49), 3, 3)
-    for forced in ("enumeration", "incidence"):
-        monkeypatch.setattr(code, "_cheapest_route", lambda *args: forced)
-        cells.clear()
-        class_weights(d)
-        sizes = {n for _, n in cells}
-        if forced == "enumeration":
-            assert sizes == {147}
-        else:
-            assert max(sizes) <= 147
+    monkeypatch.setattr(code, "_cheapest_route", lambda *args: "incidence")
+    class_weights(family4(field_of_order(49), 3, 3))
+    assert max(n for _, n in cells) <= 147
     for f, q, k, h in LARGE_Q + ((1, 2, 4, 4),):
         d = FAMILIES[f](field_of_order(q), k, h)
-        for forced in ("enumeration", "incidence"):
-            monkeypatch.setattr(code, "_cheapest_route",
-                                lambda *args: forced)
-            cells.clear()
-            class_weights(d)
-            assert cells
-            assert (sum(c * n for c, n in cells)
-                    <= functional_count(q, k) * len(d)), (f, q, forced)
+        cells.clear()
+        class_weights(d)
+        assert cells
+        assert (sum(c * n for c, n in cells)
+                <= functional_count(q, k) * len(d)), (f, q)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

@@ -38,6 +38,7 @@ CODE = "tests/test_code.py::"
 FIELD = "tests/test_field.py::"
 CLI = "tests/test_cli.py::"
 COMB = "tests/test_combinat.py::"
+SPEC = "tests/test_spectra.py::"
 
 
 @dataclass(frozen=True)
@@ -268,6 +269,27 @@ MUTANTS = (
            "    mult = np.ones(len(codes), dtype=np.int64)",
            (CODE + "test_weights_with_mixed_multiplicities",
             CODE + "test_class_weights_picks_the_cheaper_route")),
+    # -- the weight route choice ----------------------------------------------
+    Mutant("route-takes-the-dearer", "src/mincodes/code.py",
+           "return min(costs, key=costs.__getitem__)",
+           "return max(costs, key=costs.__getitem__)",
+           (CODE + "test_class_weights_picks_the_cheaper_route",)),
+    Mutant("reduced-set-routed-at-n", "src/mincodes/code.py",
+           "route = _cheapest_route(gf, k, len(codes))",
+           "route = _cheapest_route(gf, k, n)",
+           (CODE + "test_class_weights_picks_the_cheaper_route",)),
+    # -- the closed forms -----------------------------------------------------
+    Mutant("tilde-lift-weight-over-q-minus-1", "src/mincodes/spectra.py",
+           "lifted = n + exact_div((q - 2) * w, q - 1)",
+           "lifted = n + exact_div((q - 1) * w, q - 1)",
+           (SPEC + "test_tilde_transfer",)),
+    Mutant("min-weight-applies-at-q-5", "src/mincodes/spectra.py",
+           "and q > 5 and factor_prime_power(q)[0] != 2)",
+           "and q >= 5 and factor_prime_power(q)[0] != 2)",
+           (SPEC + "test_min_weight_hypotheses_enforced",)),
+    Mutant("family4-psi-of-s-plus-1", "src/mincodes/spectra.py",
+           "* psi(s, q) + 1", "* psi(s + 1, q) + 1",
+           (SPEC + "test_family4_distribution",)),
     # -- the command line -----------------------------------------------------
     Mutant("explicit-budget-ignored", "src/mincodes/cli.py",
            "if args.budget is None:", "if True:",
